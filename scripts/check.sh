@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo gate: full build + ctest (including the fuzz_smoke and corpus_replay
 # corpora), the corpus_smoke stage (mine 5 scenarios from a fixed seed,
-# replay them, diagnoser agreement oracle), then the static-analysis stage
+# replay them, diagnoser agreement oracle), the same tier-1 build + ctest in
+# a clean worktree of HEAD, then the static-analysis stage
 # (atropos_lint always; clang-tidy and clang's thread-safety analysis when
 # clang is installed), then the obs/workload/atropos tests, a fuzz corpus,
 # and a corpus-replay slice under ASan/UBSan, then the concurrent intake
@@ -13,6 +14,7 @@
 #   scripts/check.sh --fast   # skip the perf, lint and sanitizer stages
 #   scripts/check.sh --lint   # configure + run only the static-analysis stage
 #   scripts/check.sh --perf   # configure + run only the perf-trajectory stage
+#   scripts/check.sh --clean  # run only the clean-checkout stage
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,6 +78,27 @@ run_perf() {
   python3 scripts/perf_trajectory.py
 }
 
+# Clean-checkout gate: the tier-1 command (configure, build, ctest) in a
+# temporary `git worktree` of HEAD, removed afterwards. A test that passes
+# only because the warm tree holds a file git does not track (an ignored
+# fixture, a stale build output) fails here. Uncommitted changes are not part
+# of HEAD, so commit before relying on this stage.
+run_clean_checkout() {
+  echo "== clean checkout: tier-1 in a temporary worktree of HEAD =="
+  local tree status=0
+  tree=$(mktemp -d "${TMPDIR:-/tmp}/atropos-clean.XXXXXX")
+  git worktree add --detach "$tree" HEAD >/dev/null
+  (cd "$tree" && cmake -B build -S . >/dev/null && cmake --build build -j "$JOBS" >/dev/null &&
+    ctest --test-dir build --output-on-failure -j "$JOBS") || status=$?
+  git worktree remove --force "$tree"
+  return "$status"
+}
+
+if [[ "${1:-}" == "--clean" ]]; then
+  run_clean_checkout
+  exit 0
+fi
+
 echo "== configure + build (build/) =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
@@ -100,6 +123,8 @@ rm -rf build/corpus-smoke
 ./build/tools/atropos_mine mine --corpus=build/corpus-smoke --seed-start=1 \
   --max-seeds=40 --target=5 --shrink-budget=20 --quiet
 ./build/tools/atropos_mine replay --corpus=build/corpus-smoke --require-agreement=0.95
+
+run_clean_checkout
 
 if [[ "${1:-}" == "--fast" ]]; then
   echo "== skipping perf + lint + sanitizer stages (--fast) =="

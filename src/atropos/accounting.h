@@ -135,17 +135,9 @@ struct ResourceMetrics {
   ResourceId id = kInvalidResourceId;
   ResourceClass cls = ResourceClass::kLock;
   double contention_raw = 0.0;   // class-specific formula (eviction ratio, wait/hold)
-  double contention_norm = 0.0;  // C_r = D_r / T_exec
+  double contention_norm = 0.0;  // C_r = D_r / (T_base + D_r)
   TimeMicros delay = 0;          // D_r: contention-induced delay in the window
   bool overloaded = false;       // contention_norm above threshold
-};
-
-// Output of the estimator for one (task, resource) pair.
-struct TaskGain {
-  TaskId task = kInvalidTaskId;
-  ResourceId resource = kInvalidResourceId;
-  double gain = 0.0;        // future resource gain (paper definition)
-  double current_usage = 0.0;  // held-now variant (Fig 13 second baseline)
 };
 
 }  // namespace atropos

@@ -7,7 +7,7 @@
 namespace atropos {
 
 void CancelDispatcher::Dispatch(uint64_t key, double score, TimeMicros now) {
-  if (cancelled_keys_.emplace(key, calm_windows_total_).second) {
+  if (cancelled_keys_.try_emplace(key, calm_windows_total_).second) {
     stats_->cancelled_keys_inserted++;
   }
   last_cancel_time_ = now;

@@ -19,6 +19,7 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
                                       TimeMicros window_start, TimeMicros now) {
   Output out;
   const size_t resource_count = ledger.resource_count();
+  out.all_resources.reserve(resource_count);
 
   // ---- Per-resource window wait/hold: closed intervals were folded into
   // the resource windows as they completed; add the still-open intervals of
@@ -111,25 +112,26 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
   }
 
   // ---- Policy input: objectives are the overloaded resources.
+  PolicyInput& input = out.policy_input;
   for (const ResourceMetrics& m : out.all_resources) {
     if (m.overloaded) {
-      out.policy_input.resources.push_back(m);
+      input.resources.push_back(m);
     }
   }
-  const auto& objectives = out.policy_input.resources;
+  const auto& objectives = input.resources;
   if (objectives.empty()) {
     return out;
   }
 
-  // Raw gains per (task, objective). Live-list order is ascending TaskId, so
-  // candidate order matches the map-based estimator byte for byte.
-  struct Row {
-    TaskId task;
-    bool cancellable;
-    std::vector<double> gain;
-    std::vector<double> current;
-  };
-  std::vector<Row> rows;
+  // Raw gains per (task, objective), one row per live task written straight
+  // into the flat matrices, sized once for the window. Live-list order is
+  // ascending TaskId, so candidate order matches the map-based estimator
+  // byte for byte.
+  const size_t k = objectives.size();
+  const size_t live = ledger.live_task_count();
+  input.candidates.reserve(live);
+  input.gain_matrix.reserve(live * k);
+  input.current_matrix.reserve(live * k);
   double min_time_gain =
       config_.min_gain_window_fraction * static_cast<double>(config_.window);
   for (uint32_t slot = ledger.live_head(); slot != TaskLedger::kNilSlot;
@@ -139,9 +141,7 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
       continue;
     }
     const TaskResourceUsage* row_cells = ledger.usage_row(slot);
-    Row row;
-    row.task = task.id;
-    row.cancellable = task.cancellable && task.cancel_count < config_.max_cancels_per_task;
+    bool cancellable = task.cancellable && task.cancel_count < config_.max_cancels_per_task;
     double factor = FutureFactor(task.Progress(config_.default_progress));
     bool significant = false;
     for (const ResourceMetrics& m : objectives) {
@@ -149,8 +149,8 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
       if (!u.touched) {
         // Never-touched pair: zero contribution, and — exactly like the
         // absent map entry it replaces — exempt from the significance test.
-        row.gain.push_back(0.0);
-        row.current.push_back(0.0);
+        input.gain_matrix.push_back(0.0);
+        input.current_matrix.push_back(0.0);
         continue;
       }
       double current = 0.0;
@@ -161,9 +161,9 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
         // Accumulated holding/usage time (µs).
         current = static_cast<double>(u.HoldTimeAt(now));
       }
-      row.current.push_back(current);
+      input.current_matrix.push_back(current);
       double gain = current * factor;
-      row.gain.push_back(gain);
+      input.gain_matrix.push_back(gain);
       double floor = m.cls == ResourceClass::kMemory ? config_.min_gain_memory_units
                                                      : min_time_gain;
       if (gain >= floor) {
@@ -173,38 +173,31 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
     // A task predicted to release less than the significance floor resolves
     // itself faster than cancelling it would; it is never a useful victim.
     if (!significant) {
-      row.cancellable = false;
+      cancellable = false;
     }
-    rows.push_back(std::move(row));
+    input.candidates.push_back(PolicyInput::Candidate{task.id, cancellable});
   }
 
-  // Normalize each objective column to [0, 1] so that units (pages vs µs) are
-  // comparable when scalarized (§3.5's "make contention level comparable"
-  // requirement applies to gains too once multiple resources mix).
-  for (size_t r = 0; r < objectives.size(); r++) {
+  // Normalize each objective column in place (stride k) to [0, 1] so that
+  // units (pages vs µs) are comparable when scalarized (§3.5's "make
+  // contention level comparable" requirement applies to gains too once
+  // multiple resources mix).
+  const size_t cells = input.gain_matrix.size();
+  for (size_t r = 0; r < k; r++) {
     double max_gain = 0.0;
     double max_cur = 0.0;
-    for (const Row& row : rows) {
-      max_gain = std::max(max_gain, row.gain[r]);
-      max_cur = std::max(max_cur, row.current[r]);
+    for (size_t cell = r; cell < cells; cell += k) {
+      max_gain = std::max(max_gain, input.gain_matrix[cell]);
+      max_cur = std::max(max_cur, input.current_matrix[cell]);
     }
-    for (Row& row : rows) {
+    for (size_t cell = r; cell < cells; cell += k) {
       if (max_gain > 0.0) {
-        row.gain[r] /= max_gain;
+        input.gain_matrix[cell] /= max_gain;
       }
       if (max_cur > 0.0) {
-        row.current[r] /= max_cur;
+        input.current_matrix[cell] /= max_cur;
       }
     }
-  }
-
-  for (Row& row : rows) {
-    PolicyInput::Candidate c;
-    c.task = row.task;
-    c.cancellable = row.cancellable;
-    c.gains = std::move(row.gain);
-    c.current_usage = std::move(row.current);
-    out.policy_input.candidates.push_back(std::move(c));
   }
   return out;
 }

@@ -1,10 +1,10 @@
 // Resource-overload estimation (paper §3.4–3.5).
 //
 // Per window, the estimator computes each resource's contention level (raw,
-// class-specific formula) and its normalized form C_r = D_r / T_exec, then —
-// for the resources flagged overloaded — each candidate task's resource gain
-// (future-usage prediction via the GetNext progress model) and the current-
-// usage variant used by the Fig 13 ablation.
+// class-specific formula) and its normalized form C_r = D_r / (T_base + D_r),
+// then — for the resources flagged overloaded — each candidate task's
+// resource gain (future-usage prediction via the GetNext progress model) and
+// the current-usage variant used by the Fig 13 ablation.
 
 #ifndef SRC_ATROPOS_ESTIMATOR_H_
 #define SRC_ATROPOS_ESTIMATOR_H_

@@ -4,7 +4,7 @@
 
 namespace atropos {
 
-bool Dominates(const std::vector<double>& a, const std::vector<double>& b) {
+bool Dominates(std::span<const double> a, std::span<const double> b) {
   bool strictly_greater = false;
   for (size_t i = 0; i < a.size(); i++) {
     if (a[i] < b[i]) {
@@ -19,9 +19,15 @@ bool Dominates(const std::vector<double>& a, const std::vector<double>& b) {
 
 namespace {
 
+// The row a policy ranks candidate `i` by: predicted gains, or current usage
+// for the Fig 13 ablation.
+std::span<const double> Objectives(const PolicyInput& input, size_t i, bool use_current_usage) {
+  return use_current_usage ? input.CurrentUsage(i) : input.Gains(i);
+}
+
 // Scalarizes a gain vector with the normalized contention levels as weights
 // (Algorithm 1 lines 12-20).
-double Scalarize(const PolicyInput& input, const std::vector<double>& gains) {
+double Scalarize(const PolicyInput& input, std::span<const double> gains) {
   double total = 0.0;
   for (size_t r = 0; r < input.resources.size(); r++) {
     total += input.resources[r].contention_norm * gains[r];
@@ -29,43 +35,46 @@ double Scalarize(const PolicyInput& input, const std::vector<double>& gains) {
   return total;
 }
 
-// Algorithm 1 lines 2-10: keep candidates not dominated by any other
-// cancellable candidate.
-std::vector<const PolicyInput::Candidate*> NonDominatedSet(
-    const PolicyInput& input, bool use_current_usage) {
-  auto vec = [&](const PolicyInput::Candidate& c) -> const std::vector<double>& {
-    return use_current_usage ? c.current_usage : c.gains;
-  };
-  std::vector<const PolicyInput::Candidate*> out;
-  for (const auto& a : input.candidates) {
-    if (!a.cancellable) {
+// Algorithm 1 lines 2-10: the indices, ascending, of the cancellable
+// candidates not dominated by any other cancellable candidate.
+//
+// Block-nested-loop skyline: `set` is a running antichain. A candidate that a
+// member dominates is dropped; otherwise it evicts the members it dominates
+// and joins. Dominance is a strict partial order, so every candidate seen so
+// far is in `set` or dominated by a member of it, and the final `set` is
+// exactly the non-dominated set an all-pairs scan finds. Members join in
+// ascending index order and eviction keeps the order of the rest, so `set`
+// stays in candidate order, on which ScalarizeOver's first-max tie-break
+// depends.
+std::vector<uint32_t> NonDominatedSet(const PolicyInput& input, bool use_current_usage) {
+  std::vector<uint32_t> set;
+  set.reserve(input.candidates.size());
+  for (size_t i = 0; i < input.candidates.size(); i++) {
+    if (!input.candidates[i].cancellable) {
       continue;
     }
-    bool dominated = false;
-    for (const auto& b : input.candidates) {
-      if (&a == &b || !b.cancellable) {
-        continue;
-      }
-      if (Dominates(vec(b), vec(a))) {
-        dominated = true;
-        break;
-      }
+    const std::span<const double> row = Objectives(input, i, use_current_usage);
+    const bool dominated = std::any_of(set.begin(), set.end(), [&](uint32_t j) {
+      return Dominates(Objectives(input, j, use_current_usage), row);
+    });
+    if (dominated) {
+      continue;
     }
-    if (!dominated) {
-      out.push_back(&a);
-    }
+    std::erase_if(set, [&](uint32_t j) {
+      return Dominates(row, Objectives(input, j, use_current_usage));
+    });
+    set.push_back(static_cast<uint32_t>(i));
   }
-  return out;
+  return set;
 }
 
-PolicyDecision ScalarizeOver(const PolicyInput& input,
-                             const std::vector<const PolicyInput::Candidate*>& set,
+PolicyDecision ScalarizeOver(const PolicyInput& input, const std::vector<uint32_t>& set,
                              bool use_current_usage) {
   PolicyDecision decision;
-  for (const auto* c : set) {
-    double score = Scalarize(input, use_current_usage ? c->current_usage : c->gains);
+  for (uint32_t i : set) {
+    double score = Scalarize(input, Objectives(input, i, use_current_usage));
     if (!decision.found() || score > decision.score) {
-      decision.victim = c->task;
+      decision.victim = input.candidates[i].task;
       decision.score = score;
     }
   }
@@ -74,25 +83,24 @@ PolicyDecision ScalarizeOver(const PolicyInput& input,
 
 // Fills the decision trace: one entry per candidate, marking Pareto
 // survivors and their scalarized scores.
-void Explain(const PolicyInput& input,
-             const std::vector<const PolicyInput::Candidate*>& pareto_set,
+void Explain(const PolicyInput& input, const std::vector<uint32_t>& pareto_set,
              bool use_current_usage, PolicyExplain* explain) {
   if (explain == nullptr) {
     return;
   }
   explain->entries.clear();
   explain->entries.reserve(input.candidates.size());
-  for (const auto& c : input.candidates) {
+  auto next = pareto_set.begin();  // ascending, so one merge walk suffices
+  for (size_t i = 0; i < input.candidates.size(); i++) {
+    const std::span<const double> row = Objectives(input, i, use_current_usage);
     PolicyExplain::Entry entry;
-    entry.task = c.task;
-    entry.cancellable = c.cancellable;
-    entry.gains = use_current_usage ? c.current_usage : c.gains;
-    for (const auto* p : pareto_set) {
-      if (p == &c) {
-        entry.pareto = true;
-        entry.score = Scalarize(input, use_current_usage ? c.current_usage : c.gains);
-        break;
-      }
+    entry.task = input.candidates[i].task;
+    entry.cancellable = input.candidates[i].cancellable;
+    entry.gains.assign(row.begin(), row.end());
+    if (next != pareto_set.end() && *next == i) {
+      ++next;
+      entry.pareto = true;
+      entry.score = Scalarize(input, row);
     }
     explain->entries.push_back(std::move(entry));
   }
@@ -124,17 +132,20 @@ PolicyDecision SelectHeuristic(const PolicyInput& input, PolicyExplain* explain)
     explain->entries.clear();
   }
   PolicyDecision decision;
-  for (const auto& c : input.candidates) {
+  for (size_t i = 0; i < input.candidates.size(); i++) {
+    const PolicyInput::Candidate& c = input.candidates[i];
+    const std::span<const double> gains = input.Gains(i);
     if (explain != nullptr) {
       // The greedy policy has no Pareto filter: every cancellable candidate
       // is in the scored set.
       explain->entries.push_back(PolicyExplain::Entry{
-          c.task, c.cancellable, c.cancellable, c.cancellable ? c.gains[top] : 0.0, c.gains});
+          c.task, c.cancellable, c.cancellable, c.cancellable ? gains[top] : 0.0,
+          std::vector<double>(gains.begin(), gains.end())});
     }
     if (!c.cancellable) {
       continue;
     }
-    double score = c.gains[top];
+    double score = gains[top];
     if (!decision.found() || score > decision.score) {
       decision.victim = c.task;
       decision.score = score;

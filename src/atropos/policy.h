@@ -8,6 +8,7 @@
 #ifndef SRC_ATROPOS_POLICY_H_
 #define SRC_ATROPOS_POLICY_H_
 
+#include <span>
 #include <vector>
 
 #include "src/atropos/accounting.h"
@@ -17,6 +18,11 @@
 namespace atropos {
 
 // Everything victim selection needs, assembled by the estimator.
+//
+// Per-candidate gains and current usage live in two flat row-major
+// `candidates.size() x resources.size()` matrices, so one window's input
+// costs a constant number of allocations whatever the candidate count, and
+// the Pareto filter scans contiguous rows.
 struct PolicyInput {
   // Only resources currently flagged as overloaded participate as objectives.
   std::vector<ResourceMetrics> resources;
@@ -24,12 +30,31 @@ struct PolicyInput {
   struct Candidate {
     TaskId task = kInvalidTaskId;
     bool cancellable = true;
-    // Gains aligned with `resources` (same indexing); normalized to [0, 1]
-    // per resource so units are comparable across resource classes.
-    std::vector<double> gains;
-    std::vector<double> current_usage;
   };
   std::vector<Candidate> candidates;
+
+  // Row i holds candidate i's values aligned with `resources` (same
+  // indexing); each column is normalized to [0, 1] per resource so units are
+  // comparable across resource classes.
+  std::vector<double> gain_matrix;
+  std::vector<double> current_matrix;
+
+  std::span<const double> Gains(size_t i) const { return Row(gain_matrix, i); }
+  std::span<const double> CurrentUsage(size_t i) const { return Row(current_matrix, i); }
+
+  // Appends one candidate; both rows must have `resources.size()` entries.
+  void AddCandidate(TaskId task, bool cancellable, std::span<const double> gains,
+                    std::span<const double> current) {
+    candidates.push_back(Candidate{task, cancellable});
+    gain_matrix.insert(gain_matrix.end(), gains.begin(), gains.end());
+    current_matrix.insert(current_matrix.end(), current.begin(), current.end());
+  }
+
+ private:
+  std::span<const double> Row(const std::vector<double>& matrix, size_t i) const {
+    const size_t k = resources.size();
+    return {matrix.data() + i * k, k};
+  }
 };
 
 struct PolicyDecision {
@@ -54,7 +79,7 @@ struct PolicyExplain {
 
 // Returns true iff `a` dominates `b`: a is >= b on every objective and
 // strictly greater on at least one.
-bool Dominates(const std::vector<double>& a, const std::vector<double>& b);
+bool Dominates(std::span<const double> a, std::span<const double> b);
 
 // Algorithm 1: non-dominated filter + contention-weighted scalarization.
 PolicyDecision SelectMultiObjective(const PolicyInput& input, PolicyExplain* explain = nullptr);

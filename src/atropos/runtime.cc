@@ -175,8 +175,10 @@ void AtroposRuntime::Tick() {
             LOG_DEBUG("no-victim: resource %u C=%.3f delay=%llu", m.id, m.contention_norm,
                       static_cast<unsigned long long>(m.delay));
           }
-          for (const auto& c : est.policy_input.candidates) {
-            double g = c.gains.empty() ? 0.0 : c.gains[0];
+          const PolicyInput& input = est.policy_input;
+          for (size_t i = 0; i < input.candidates.size(); i++) {
+            const PolicyInput::Candidate& c = input.candidates[i];
+            double g = input.resources.empty() ? 0.0 : input.Gains(i)[0];
             if (g > 0.0 || !c.cancellable) {
               const TaskRecord* rec = ledger_.FindTaskById(c.task);
               LOG_DEBUG("  cand key=%llu cancellable=%d gain0=%.4f",

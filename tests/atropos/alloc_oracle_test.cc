@@ -12,10 +12,14 @@
 // operator new affects the whole program; keeping it isolated means the main
 // suites run against the stock allocator.
 //
-// Deliberately NOT inside the armed region: Tick()/estimation (the estimator
-// builds per-window candidate vectors by design — once per window, off the
-// per-event path) and first-touch growth (new tasks/resources beyond the
-// high-water mark).
+// The once-per-window decision Tick is not allocation-free: the estimator
+// returns its output by value, so each window builds that output's vectors
+// and Select reserves its skyline window. It is bounded instead — a small
+// constant number of allocations per Tick, independent of the live-task
+// count, pinned by the TickAllocations test below.
+//
+// Deliberately NOT inside any armed region: first-touch growth (new tasks or
+// resources beyond the high-water mark) and resource registration.
 
 #include <atomic>
 #include <cstdlib>
@@ -24,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "src/atropos/ledger.h"
+#include "src/atropos/runtime.h"
 #include "src/atropos/window.h"
 #include "src/common/clock.h"
 
@@ -183,6 +188,63 @@ TEST(AllocOracleTest, KeyChurnOverRecycledSlotsIsAllocationFree) {
   }
   EXPECT_EQ(armed.count(), 0u)
       << "key churn over recycled slots allocated after warm-up";
+}
+
+// Heap allocations across `ticks` warm Ticks of a runtime holding `live`
+// tasks under a sustained lock overload, with tracing off. Every tenth task
+// holds the lock and reports progress; the rest wait on it. The application
+// ignores cancels and the pacing gate is open, so every Tick runs the whole
+// decision path: detect, estimate all `live` rows, Select, dispatch.
+uint64_t TickAllocations(uint64_t live, int ticks) {
+  ManualClock clock(0);
+  AtroposConfig config;
+  config.window = Millis(100);
+  config.baseline_p99 = 1000;
+  config.contention_threshold = 0.10;
+  config.min_cancel_interval = 0;
+  config.max_cancels_per_task = 1 << 30;
+  AtroposRuntime runtime(&clock, config);
+  runtime.SetCancelAction([](uint64_t) {});
+  const ResourceId lock = runtime.RegisterResource("lock", ResourceClass::kLock);
+  for (uint64_t k = 1; k <= live; k++) {
+    runtime.OnTaskRegistered(k, false);
+    if (k % 10 == 0) {
+      runtime.OnGet(k, lock, 1);
+      runtime.OnProgress(k, k % 9 + 1, 10);
+    } else {
+      runtime.OnWaitBegin(k, lock);
+    }
+  }
+  auto overloaded_window = [&] {
+    for (int i = 0; i < 20; i++) {
+      runtime.OnRequestEnd(live + 1, /*latency=*/50000, 0, 0);
+    }
+    clock.Advance(Millis(100));
+    runtime.Tick();
+  };
+  for (int w = 0; w < 8; w++) {
+    overloaded_window();
+  }
+  const uint64_t cancels_before = runtime.stats().cancels_issued;
+  AllocArmed armed;
+  for (int w = 0; w < ticks; w++) {
+    overloaded_window();
+  }
+  const uint64_t allocations = armed.count();
+  EXPECT_EQ(runtime.stats().cancels_issued - cancels_before, static_cast<uint64_t>(ticks))
+      << "every measured Tick must reach Select and dispatch";
+  return allocations;
+}
+
+TEST(AllocOracleTest, TickAllocationsAreIndependentOfLiveTaskCount) {
+  constexpr int kTicks = 10;
+  const uint64_t small = TickAllocations(100, kTicks);
+  const uint64_t large = TickAllocations(5000, kTicks);
+  EXPECT_EQ(small, large) << "per-Tick allocations grow with the live-task count";
+  // The estimator output's vectors (per-resource deltas and metrics, the
+  // objectives, the candidate list and its two matrices) plus Select's
+  // skyline window.
+  EXPECT_LE(small, static_cast<uint64_t>(kTicks) * 7) << "allocations per Tick grew";
 }
 
 }  // namespace

@@ -75,17 +75,17 @@ TEST_F(EstimatorEdgeTest, ZeroProgressTaskHasBoundedFiniteGains) {
   auto out = Estimate();
   ASSERT_TRUE(out.resource_overload);
   ASSERT_EQ(out.policy_input.candidates.size(), 2u);
-  const auto& fresh_cand = out.policy_input.candidates[0];
-  const auto& half_cand = out.policy_input.candidates[1];
-  for (double g : fresh_cand.gains) {
+  const std::span<const double> fresh_gains = out.policy_input.Gains(0);
+  const std::span<const double> half_gains = out.policy_input.Gains(1);
+  for (double g : fresh_gains) {
     EXPECT_TRUE(std::isfinite(g));
     EXPECT_GE(g, 0.0);
     EXPECT_LE(g, 1.0);
   }
   // Equal holdings: the task with everything still ahead of it is the larger
   // predicted release (factor 99 vs 1) and normalizes to the column max.
-  EXPECT_DOUBLE_EQ(fresh_cand.gains[0], 1.0);
-  EXPECT_LT(half_cand.gains[0], fresh_cand.gains[0]);
+  EXPECT_DOUBLE_EQ(fresh_gains[0], 1.0);
+  EXPECT_LT(half_gains[0], fresh_gains[0]);
 }
 
 // progress_total == 0 means "no usable progress report": fall back to the
@@ -100,11 +100,11 @@ TEST_F(EstimatorEdgeTest, ZeroTotalProgressFallsBackToDefault) {
 
   auto out = Estimate();
   ASSERT_EQ(out.policy_input.candidates.size(), 1u);
-  for (double g : out.policy_input.candidates[0].gains) {
+  for (double g : out.policy_input.Gains(0)) {
     EXPECT_TRUE(std::isfinite(g));
   }
   // default_progress = 0.5 -> factor 1 -> gain = holdings, normalized to 1.
-  EXPECT_DOUBLE_EQ(out.policy_input.candidates[0].gains[0], 1.0);
+  EXPECT_DOUBLE_EQ(out.policy_input.Gains(0)[0], 1.0);
 }
 
 TEST_F(EstimatorEdgeTest, EmptyWindowProducesEmptyOutput) {
@@ -151,12 +151,8 @@ PolicyInput SingleCandidateInput(double gain, bool cancellable = true) {
   m.contention_norm = 0.5;
   m.overloaded = true;
   input.resources.push_back(m);
-  PolicyInput::Candidate c;
-  c.task = 10;
-  c.cancellable = cancellable;
-  c.gains = {gain};
-  c.current_usage = {gain};
-  input.candidates.push_back(c);
+  const double row[] = {gain};
+  input.AddCandidate(10, cancellable, row, row);
   return input;
 }
 
@@ -187,6 +183,8 @@ TEST(PolicySingleCandidateTest, NonCancellableLoneCandidateIsNoVictim) {
 TEST(PolicySingleCandidateTest, EmptyCandidateSetIsNoVictim) {
   PolicyInput input = SingleCandidateInput(0.8);
   input.candidates.clear();
+  input.gain_matrix.clear();
+  input.current_matrix.clear();
   PolicyDecision d = SelectVictim(PolicyKind::kMultiObjective, input);
   EXPECT_FALSE(d.found());
 }

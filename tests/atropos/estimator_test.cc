@@ -90,11 +90,11 @@ TEST_F(EstimatorTest, HolderGainsExceedWaiterGains) {
 
   auto out = Estimate(Millis(100), 0, Millis(100));
   ASSERT_EQ(out.policy_input.candidates.size(), 2u);
-  const auto& holder_cand = out.policy_input.candidates[0];
-  const auto& waiter_cand = out.policy_input.candidates[1];
-  ASSERT_EQ(holder_cand.task, IdOf(10));
-  EXPECT_GT(holder_cand.gains[0], waiter_cand.gains[0]);
-  EXPECT_EQ(waiter_cand.gains[0], 0.0);  // the victim holds nothing
+  ASSERT_EQ(out.policy_input.candidates[0].task, IdOf(10));
+  const double holder_gain = out.policy_input.Gains(0)[0];
+  const double waiter_gain = out.policy_input.Gains(1)[0];
+  EXPECT_GT(holder_gain, waiter_gain);
+  EXPECT_EQ(waiter_gain, 0.0);  // the victim holds nothing
 }
 
 TEST_F(EstimatorTest, MemoryEvictionRatioDrivesContention) {
@@ -136,12 +136,11 @@ TEST_F(EstimatorTest, FutureGainPrefersEarlyProgressTask) {
 
   auto out = Estimate(Millis(100), 0, Millis(100));
   ASSERT_TRUE(out.resource_overload);
-  const auto& ca = out.policy_input.candidates[0];
-  const auto& cb = out.policy_input.candidates[1];
+  const PolicyInput& input = out.policy_input;
   // gain(A) = 400 * (0.1/0.9) ≈ 44; gain(B) = 300 * (0.9/0.1) = 2700.
-  EXPECT_LT(ca.gains[0], cb.gains[0]);
+  EXPECT_LT(input.Gains(0)[0], input.Gains(1)[0]);
   // But by current usage, A holds more.
-  EXPECT_GT(ca.current_usage[0], cb.current_usage[0]);
+  EXPECT_GT(input.CurrentUsage(0)[0], input.CurrentUsage(1)[0]);
 }
 
 TEST_F(EstimatorTest, GainsNormalizedToUnitRange) {
@@ -155,13 +154,11 @@ TEST_F(EstimatorTest, GainsNormalizedToUnitRange) {
   Usage(11, pool).acquired = 10;
 
   auto out = Estimate(Millis(100), 0, Millis(100));
-  for (const auto& c : out.policy_input.candidates) {
-    for (double g : c.gains) {
-      EXPECT_GE(g, 0.0);
-      EXPECT_LE(g, 1.0);
-    }
+  for (double g : out.policy_input.gain_matrix) {
+    EXPECT_GE(g, 0.0);
+    EXPECT_LE(g, 1.0);
   }
-  EXPECT_DOUBLE_EQ(out.policy_input.candidates[0].gains[0], 1.0);
+  EXPECT_DOUBLE_EQ(out.policy_input.Gains(0)[0], 1.0);
 }
 
 TEST_F(EstimatorTest, OpenWaitsAreClippedToTheWindow) {
@@ -195,7 +192,7 @@ TEST_F(EstimatorTest, ClosedWaitsFromFreedTasksStillCount) {
   EXPECT_TRUE(out.resource_overload);
   // The live holder is the gain candidate.
   ASSERT_FALSE(out.policy_input.candidates.empty());
-  EXPECT_GT(out.policy_input.candidates[0].gains[0], 0.0);
+  EXPECT_GT(out.policy_input.Gains(0)[0], 0.0);
 }
 
 TEST_F(EstimatorTest, NonCancellableTasksFlaggedInPolicyInput) {
