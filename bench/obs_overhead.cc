@@ -36,6 +36,8 @@ void BM_CounterInc(benchmark::State& state) {
   Counter* counter = registry.GetCounter("bench.counter");
   for (auto _ : state) {
     counter->Inc();
+    // Without a barrier the loop folds into one add of the trip count.
+    benchmark::ClobberMemory();
   }
   benchmark::DoNotOptimize(counter->value());
 }
@@ -119,7 +121,10 @@ ObsMicroCosts MeasureObsMicroCosts() {
   {
     MetricsRegistry registry;
     Counter* counter = registry.GetCounter("bench.counter");
-    costs.counter_inc_ns = TimeLoopNs(kIters, [&] { counter->Inc(); });
+    costs.counter_inc_ns = TimeLoopNs(kIters, [&] {
+      counter->Inc();
+      benchmark::ClobberMemory();  // each increment is a real store
+    });
     benchmark::DoNotOptimize(counter->value());
   }
   {

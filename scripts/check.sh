@@ -9,11 +9,12 @@
 # tests, the live-mode tests (incl. live_smoke), the abortable-sync storms
 # (sync_test — the CQS oracle gate), and the mt_ingest smoke under TSan.
 #
-#   scripts/check.sh          # build + tests + perf trajectory + lint +
-#                             # ASan/UBSan + TSan
-#   scripts/check.sh --fast   # skip the perf, lint and sanitizer stages
+#   scripts/check.sh          # build + tests + perf trajectory + bench smoke +
+#                             # lint + ASan/UBSan + TSan
+#   scripts/check.sh --fast   # skip the perf, bench, lint and sanitizer stages
 #   scripts/check.sh --lint   # configure + run only the static-analysis stage
 #   scripts/check.sh --perf   # configure + run only the perf-trajectory stage
+#   scripts/check.sh --bench  # configure + run only the benchmark smoke stage
 #   scripts/check.sh --clean  # run only the clean-checkout stage
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -78,6 +79,22 @@ run_perf() {
   python3 scripts/perf_trajectory.py
 }
 
+# Benchmark smoke: ctlbench's own unit tests, then the wide workload (10k
+# live tasks, so the ledger arena compacts) and the calm workload through
+# ctlbench/run.py. run.py exits non-zero when a correctness check fails:
+# decision-digest replay, the accounting audit, the live-cancel checks. No
+# timing gate: the numbers it prints are not compared against anything.
+run_bench() {
+  local dir=build-ctlbench
+  echo "== bench smoke: ctlbench_test =="
+  cmake -S ctlbench -B "$dir/ctlbench" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$dir/ctlbench" -j "$JOBS" --target ctlbench_test >/dev/null
+  "./$dir/ctlbench/ctlbench_test"
+  echo "== bench smoke: wide and calm correctness checks (ctlbench/run.py) =="
+  CARGO_TARGET_DIR=$dir python3 ctlbench/run.py --workload wide --seed 1 --seconds 16 --trace 0
+  CARGO_TARGET_DIR=$dir python3 ctlbench/run.py --workload calm --seed 1 --seconds 4 --trace 0
+}
+
 # Clean-checkout gate: the tier-1 command (configure, build, ctest) in a
 # temporary `git worktree` of HEAD, removed afterwards. A test that passes
 # only because the warm tree holds a file git does not track (an ignored
@@ -111,6 +128,10 @@ if [[ "${1:-}" == "--perf" ]]; then
   run_perf
   exit 0
 fi
+if [[ "${1:-}" == "--bench" ]]; then
+  run_bench
+  exit 0
+fi
 
 echo "== ctest (build/) =="
 ctest --test-dir build --output-on-failure -j "$JOBS"
@@ -127,11 +148,13 @@ rm -rf build/corpus-smoke
 run_clean_checkout
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "== skipping perf + lint + sanitizer stages (--fast) =="
+  echo "== skipping perf + bench + lint + sanitizer stages (--fast) =="
   exit 0
 fi
 
 run_perf
+
+run_bench
 
 run_lint
 

@@ -71,7 +71,6 @@ struct TaskRecord {
   bool cancellable = true;    // false once re-executed (§4 fairness)
   int cancel_count = 0;       // cancellations issued against this task
   TimeMicros cancelled_at = 0;
-  bool alive = true;
 
   // GetNext progress model (§3.4): rows processed / rows expected.
   uint64_t progress_done = 0;
@@ -79,8 +78,8 @@ struct TaskRecord {
   bool has_progress = false;
 
   // Per-resource usage lives in the TaskLedger's dense usage matrix, keyed by
-  // this record's slot — not inline, so recycling a task slot never frees
-  // per-pair map nodes on the hot path.
+  // this record's slot — not inline, so freeing a task never frees per-pair
+  // map nodes on the hot path.
 
   // Progress in (0, 1]; `fallback` is used when the task reports none.
   double Progress(double fallback) const {

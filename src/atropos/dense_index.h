@@ -73,6 +73,16 @@ class DenseKeyIndex {
     }
   }
 
+  // Points an already-indexed key at a new slot (its registry entry moved).
+  // atropos-lint: alloc-free
+  void Repoint(uint64_t key, uint32_t slot) {
+    size_t i = Hash(key) & mask_;
+    while (entries_[i].key != key || entries_[i].slot == kNotFound) {
+      i = (i + 1) & mask_;
+    }
+    entries_[i].slot = slot;
+  }
+
   // Backward-shift deletion: no tombstones, probe chains stay contiguous.
   // atropos-lint: alloc-free
   bool Erase(uint64_t key) {

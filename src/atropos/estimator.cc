@@ -31,8 +31,10 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
     TimeMicros hold = 0;
   };
   std::vector<Delta> deltas(resource_count);
-  for (uint32_t slot = ledger.live_head(); slot != TaskLedger::kNilSlot;
-       slot = ledger.next_live(slot)) {
+  for (uint32_t slot = 0; slot < ledger.slot_count(); slot++) {
+    if (!ledger.live_at(slot)) {
+      continue;
+    }
     const TaskResourceUsage* row = ledger.usage_row(slot);
     for (size_t r = 0; r < resource_count; r++) {
       const TaskResourceUsage& usage = row[r];
@@ -123,34 +125,39 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
     return out;
   }
 
-  // Raw gains per (task, objective), one row per live task written straight
-  // into the flat matrices, sized once for the window. Live-list order is
+  // Raw gains per (task, objective): one row per live task, written once
+  // into the flat matrices, sized once for the window. Arena order is
   // ascending TaskId, so candidate order matches the map-based estimator
-  // byte for byte.
+  // byte for byte. Each column's max is tracked in the same pass.
   const size_t k = objectives.size();
   const size_t live = ledger.live_task_count();
-  input.candidates.reserve(live);
-  input.gain_matrix.reserve(live * k);
-  input.current_matrix.reserve(live * k);
+  input.candidates.resize(live);
+  input.gain_matrix.resize(live * k);
+  input.current_matrix.resize(live * k);
+  column_max_.assign(2 * k, 0.0);  // [0, k): gain maxima; [k, 2k): current
+  double* max_gain = column_max_.data();
+  double* max_cur = max_gain + k;
+  PolicyInput::Candidate* candidate = input.candidates.data();
+  double* gain_row = input.gain_matrix.data();
+  double* current_row = input.current_matrix.data();
   double min_time_gain =
       config_.min_gain_window_fraction * static_cast<double>(config_.window);
-  for (uint32_t slot = ledger.live_head(); slot != TaskLedger::kNilSlot;
-       slot = ledger.next_live(slot)) {
-    const TaskRecord& task = ledger.task_at(slot);
-    if (!task.alive) {
+  for (uint32_t slot = 0; slot < ledger.slot_count(); slot++) {
+    if (!ledger.live_at(slot)) {
       continue;
     }
+    const TaskRecord& task = ledger.task_at(slot);
     const TaskResourceUsage* row_cells = ledger.usage_row(slot);
     bool cancellable = task.cancellable && task.cancel_count < config_.max_cancels_per_task;
     double factor = FutureFactor(task.Progress(config_.default_progress));
     bool significant = false;
-    for (const ResourceMetrics& m : objectives) {
+    for (size_t r = 0; r < k; r++) {
+      const ResourceMetrics& m = objectives[r];
       const TaskResourceUsage& u = row_cells[static_cast<size_t>(m.id) - 1];
       if (!u.touched) {
-        // Never-touched pair: zero contribution, and — exactly like the
-        // absent map entry it replaces — exempt from the significance test.
-        input.gain_matrix.push_back(0.0);
-        input.current_matrix.push_back(0.0);
+        // Never-touched pair: zero contribution (the sized rows start at
+        // zero), and — exactly like the absent map entry it replaces —
+        // exempt from the significance test.
         continue;
       }
       double current = 0.0;
@@ -161,9 +168,11 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
         // Accumulated holding/usage time (µs).
         current = static_cast<double>(u.HoldTimeAt(now));
       }
-      input.current_matrix.push_back(current);
       double gain = current * factor;
-      input.gain_matrix.push_back(gain);
+      current_row[r] = current;
+      gain_row[r] = gain;
+      max_cur[r] = std::max(max_cur[r], current);
+      max_gain[r] = std::max(max_gain[r], gain);
       double floor = m.cls == ResourceClass::kMemory ? config_.min_gain_memory_units
                                                      : min_time_gain;
       if (gain >= floor) {
@@ -175,27 +184,24 @@ Estimator::Output Estimator::Estimate(TaskLedger& ledger, TimeMicros exec_time,
     if (!significant) {
       cancellable = false;
     }
-    input.candidates.push_back(PolicyInput::Candidate{task.id, cancellable});
+    *candidate++ = PolicyInput::Candidate{task.id, cancellable};
+    gain_row += k;
+    current_row += k;
   }
 
-  // Normalize each objective column in place (stride k) to [0, 1] so that
+  // Normalize each objective column to [0, 1] in one row-major sweep so that
   // units (pages vs µs) are comparable when scalarized (§3.5's "make
   // contention level comparable" requirement applies to gains too once
   // multiple resources mix).
-  const size_t cells = input.gain_matrix.size();
-  for (size_t r = 0; r < k; r++) {
-    double max_gain = 0.0;
-    double max_cur = 0.0;
-    for (size_t cell = r; cell < cells; cell += k) {
-      max_gain = std::max(max_gain, input.gain_matrix[cell]);
-      max_cur = std::max(max_cur, input.current_matrix[cell]);
-    }
-    for (size_t cell = r; cell < cells; cell += k) {
-      if (max_gain > 0.0) {
-        input.gain_matrix[cell] /= max_gain;
+  gain_row = input.gain_matrix.data();
+  current_row = input.current_matrix.data();
+  for (size_t i = 0; i < live; i++, gain_row += k, current_row += k) {
+    for (size_t r = 0; r < k; r++) {
+      if (max_gain[r] > 0.0) {
+        gain_row[r] /= max_gain[r];
       }
-      if (max_cur > 0.0) {
-        input.current_matrix[cell] /= max_cur;
+      if (max_cur[r] > 0.0) {
+        current_row[r] /= max_cur[r];
       }
     }
   }

@@ -10,6 +10,7 @@
 #define SRC_ATROPOS_ESTIMATOR_H_
 
 #include <map>
+#include <vector>
 
 #include "src/atropos/accounting.h"
 #include "src/atropos/config.h"
@@ -41,7 +42,7 @@ class Estimator {
   };
 
   // Computes the window's metrics from the ledger's books: live tasks are
-  // walked in ascending-TaskId order (the ledger's stable live list) and
+  // walked in ascending-TaskId order (the ledger's id-ordered arena) and
   // resources in ascending-id order, so the output is deterministic.
   // `exec_time` is T_base: the window's *productive* execution time
   // (completed request time attributed to the window, floored at the window
@@ -60,6 +61,9 @@ class Estimator {
     uint64_t windows = 0;
   };
   std::map<ResourceId, Baseline> baseline_contention_;
+  // Per-window scratch: the objective columns' maxima. A member so that a
+  // warm estimator does not allocate it every window.
+  std::vector<double> column_max_;
 };
 
 }  // namespace atropos

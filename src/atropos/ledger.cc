@@ -18,23 +18,16 @@ ResourceId TaskLedger::RegisterResource(std::string name, ResourceClass cls) {
   rec.id = id;
   rec.cls = cls;
   rec.name = std::move(name);
+  // Setup-time: widen every task's usage row by one cell, repacking rows.
+  const size_t old_stride = resources_.size();
   resources_.push_back(std::move(rec));
-  if (resources_.size() > usage_stride_) {
-    // Setup-time growth: widen every task's usage row. Geometric so N
-    // resources cost O(log N) repacks.
-    Restride(std::max<size_t>({usage_stride_ * 2, resources_.size(), 4}));
-  }
-  return id;
-}
-
-void TaskLedger::Restride(size_t new_stride) {
-  std::vector<TaskResourceUsage> wider(task_slots_.size() * new_stride);
+  std::vector<TaskResourceUsage> wider(task_slots_.size() * resources_.size());
   for (size_t s = 0; s < task_slots_.size(); s++) {
-    std::copy_n(usage_.begin() + static_cast<ptrdiff_t>(s * usage_stride_), usage_stride_,
-                wider.begin() + static_cast<ptrdiff_t>(s * new_stride));
+    std::copy_n(usage_.begin() + static_cast<ptrdiff_t>(s * old_stride), old_stride,
+                wider.begin() + static_cast<ptrdiff_t>(s * resources_.size()));
   }
   usage_ = std::move(wider);
-  usage_stride_ = new_stride;
+  return id;
 }
 
 const ResourceRecord* TaskLedger::FindResource(ResourceId id) const {
@@ -48,8 +41,13 @@ const TaskRecord* TaskLedger::FindTask(uint64_t key) const {
 }
 
 TaskRecord* TaskLedger::FindTaskById(TaskId id) {
-  const uint32_t slot = id_index_.Find(id);
-  return slot == kNilSlot ? nullptr : &task_slots_[slot];
+  // The arena is sorted by id, and dead slots keep theirs.
+  auto it = std::lower_bound(task_slots_.begin(), task_slots_.end(), id,
+                             [](const TaskRecord& rec, TaskId want) { return rec.id < want; });
+  if (it == task_slots_.end() || it->id != id) {
+    return nullptr;
+  }
+  return live_at(static_cast<uint32_t>(it - task_slots_.begin())) ? &*it : nullptr;
 }
 
 TimeMicros TaskLedger::TraceNowPerEvent(TaskLedger* self) {
@@ -83,84 +81,75 @@ void TaskLedger::SetEffectiveMode(TimestampMode mode) {
 }
 
 void TaskLedger::RegisterTask(uint64_t key, bool background, bool cancellable) {
-  TaskId id = next_task_id_++;
   // Replace any stale registration under the same key.
-  const uint32_t stale = key_index_.Find(key);
-  if (stale != kNilSlot) {
-    ReleaseSlot(stale);
+  FreeTask(key);
+  // A full arena that is at least half dead is compacted instead of grown:
+  // the O(slots) compaction follows at least slots/2 appends since the last
+  // one, so registration stays amortized O(1), and a stable population
+  // cycles through the arena without allocating.
+  if (task_slots_.size() == task_slots_.capacity() &&
+      2 * live_task_count() <= task_slots_.size()) {
+    Compact();
   }
-  uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<uint32_t>(task_slots_.size());
-    task_slots_.emplace_back();
-    slot_prev_.push_back(kNilSlot);
-    slot_next_.push_back(kNilSlot);
-    usage_.resize(usage_.size() + usage_stride_);
-  }
-  TaskRecord& rec = task_slots_[slot];
-  rec = TaskRecord{};
-  rec.id = id;
+  const uint32_t slot = static_cast<uint32_t>(task_slots_.size());
+  // Appending keeps the arena sorted: ids are monotone.
+  TaskRecord& rec = task_slots_.emplace_back();
+  rec.id = next_task_id_++;
   rec.key = key;
   rec.created_at = clock_->NowMicros();
   rec.background = background;
   rec.cancellable = cancellable;
-  // Append at the live-list tail: ids are monotone, so the head-to-tail walk
-  // stays sorted by ascending TaskId (the estimator's deterministic order).
-  slot_prev_[slot] = live_tail_;
-  slot_next_[slot] = kNilSlot;
-  if (live_tail_ == kNilSlot) {
-    live_head_ = slot;
-  } else {
-    slot_next_[live_tail_] = slot;
-  }
-  live_tail_ = slot;
+  slot_live_.push_back(1);
+  usage_.resize(usage_.size() + resources_.size());
   key_index_.Put(key, slot);
-  id_index_.Put(id, slot);
 }
 
+// atropos-lint: alloc-free
 void TaskLedger::FreeTask(uint64_t key) {
   const uint32_t slot = key_index_.Find(key);
   if (slot == kNilSlot) {
     return;
   }
-  ReleaseSlot(slot);
   key_index_.Erase(key);
-}
-
-// atropos-lint: alloc-free
-void TaskLedger::ReleaseSlot(uint32_t slot) {
   // Fold the departing task's open holdings into the per-resource ledger and
-  // clear its usage row for the next occupant.
-  TaskResourceUsage* row = usage_.data() + static_cast<size_t>(slot) * usage_stride_;
+  // clear its usage row: dead rows are all zero.
+  TaskResourceUsage* row = Row(slot);
   for (size_t r = 0; r < resources_.size(); r++) {
     if (row[r].active_units != 0) {
       resources_[r].leaked_units += row[r].active_units;
     }
   }
-  std::fill_n(row, usage_stride_, TaskResourceUsage{});
-  // Unlink from the live list.
-  const uint32_t prev = slot_prev_[slot];
-  const uint32_t next = slot_next_[slot];
-  if (prev == kNilSlot) {
-    live_head_ = next;
-  } else {
-    slot_next_[prev] = next;
+  std::fill_n(row, resources_.size(), TaskResourceUsage{});
+  slot_live_[slot] = 0;
+}
+
+// atropos-lint: alloc-free
+void TaskLedger::Compact() {
+  const size_t stride = resources_.size();
+  uint32_t end = 0;
+  for (uint32_t slot = 0; slot < task_slots_.size(); slot++) {
+    if (!live_at(slot)) {
+      continue;
+    }
+    if (slot != end) {
+      task_slots_[end] = task_slots_[slot];
+      slot_live_[end] = 1;
+      std::copy_n(Row(slot), stride, Row(end));
+      key_index_.Repoint(task_slots_[end].key, end);
+    }
+    end++;
   }
-  if (next == kNilSlot) {
-    live_tail_ = prev;
-  } else {
-    slot_prev_[next] = prev;
-  }
-  id_index_.Erase(task_slots_[slot].id);
-  free_slots_.push_back(slot);
+  task_slots_.erase(task_slots_.begin() + static_cast<ptrdiff_t>(end), task_slots_.end());
+  slot_live_.erase(slot_live_.begin() + static_cast<ptrdiff_t>(end), slot_live_.end());
+  usage_.erase(usage_.begin() + static_cast<ptrdiff_t>(end * stride), usage_.end());
 }
 
 std::vector<ResourceAudit> TaskLedger::AuditAccounting() const {
   std::vector<uint64_t> live_held(resources_.size(), 0);
-  for (uint32_t slot = live_head_; slot != kNilSlot; slot = slot_next_[slot]) {
+  for (uint32_t slot = 0; slot < slot_count(); slot++) {
+    if (!live_at(slot)) {
+      continue;
+    }
     const TaskResourceUsage* row = usage_row(slot);
     for (size_t r = 0; r < resources_.size(); r++) {
       live_held[r] += row[r].active_units;
@@ -209,7 +198,7 @@ TaskResourceUsage* TaskLedger::UsageFor(uint64_t key, ResourceId resource) {
     // could never reach the estimator, audits, or digests).
     return nullptr;
   }
-  TaskResourceUsage* cell = usage_.data() + static_cast<size_t>(slot) * usage_stride_ + r;
+  TaskResourceUsage* cell = Row(slot) + r;
   cell->touched = true;
   return cell;
 }
@@ -369,7 +358,7 @@ TaskResourceUsage* TaskLedger::MutableUsage(uint64_t key, ResourceId resource) {
   if (r == static_cast<size_t>(-1)) {
     return nullptr;
   }
-  TaskResourceUsage* cell = usage_.data() + static_cast<size_t>(slot) * usage_stride_ + r;
+  TaskResourceUsage* cell = Row(slot) + r;
   cell->touched = true;
   return cell;
 }

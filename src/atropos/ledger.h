@@ -7,19 +7,23 @@
 // DecisionPipeline reads its books once per window, and the AtroposRuntime
 // façade coordinates the two.
 //
-// Layout (DESIGN.md §17): struct-of-arrays registries for mechanical
-// sympathy. Task records live in a dense slot vector with free-list
-// recycling; an open-addressed DenseKeyIndex maps application keys (and task
-// ids) to slots; per-(task, resource) usage is a flat matrix indexed
-// slot * stride + (resource - 1). Live tasks are threaded on an intrusive
-// doubly-linked list in registration order — task ids are monotone, so
-// walking it visits tasks in ascending-id order, the same deterministic
-// iteration the estimator saw when these were std::maps. Resources are a
-// plain vector indexed by id - 1 (they are never freed).
+// Layout (DESIGN.md §17): struct-of-arrays registries laid out in the order
+// they are walked. Task records live in an id-ordered slot arena:
+// registration appends, and task ids are monotone, so slot order is
+// ascending-TaskId order — the deterministic iteration the estimator saw when
+// these were std::maps. A free marks its slot dead in a byte-per-slot
+// liveness array and zeroes its usage row; an append that finds the arena at capacity with at
+// least half of it dead compacts it in place, keeping order, instead of
+// growing. An open-addressed DenseKeyIndex maps application keys to slots;
+// dead slots keep their ids, so id lookup is a binary search over the arena.
+// Per-(task, resource) usage is a flat matrix indexed
+// slot * resource_count() + (resource - 1). Resources are a plain vector
+// indexed by id - 1 (they are never freed).
 //
 // Steady-state RecordGet/RecordFree/RecordUsage are O(1), branch-light, and
-// allocation-free: allocation happens only on first-touch growth (more live
-// tasks or resources than ever before).
+// allocation-free. Registration is amortized O(1) and allocation-free at a
+// stable population: allocation happens only on first-touch growth (more
+// live tasks or resources than ever before).
 //
 // Threading: single-threaded by design — the ledger is owned by whichever
 // thread drives the runtime (the drainer thread behind ConcurrentFrontend,
@@ -61,9 +65,6 @@ struct ResourceAudit {
 
 class TaskLedger {
  public:
-  // End-of-list sentinel for the live-task slot walk.
-  static constexpr uint32_t kNilSlot = DenseKeyIndex::kNotFound;
-
   TaskLedger(Clock* clock, const AtroposConfig& config, AtroposStats* stats);
 
   // ---- Resource registry ---------------------------------------------------
@@ -72,10 +73,12 @@ class TaskLedger {
 
   // ---- Task registry -------------------------------------------------------
   // `cancellable` is the already-resolved flag: the façade consults the
-  // dispatcher's §4 cancelled-key memo before registering.
+  // dispatcher's §4 cancelled-key memo before registering. Registration may
+  // compact or grow the arena, which invalidates every TaskRecord pointer.
   void RegisterTask(uint64_t key, bool background, bool cancellable);
   void FreeTask(uint64_t key);
   const TaskRecord* FindTask(uint64_t key) const;
+  // Binary search over the id-sorted arena; null for freed ids.
   TaskRecord* FindTaskById(TaskId id);
   size_t live_task_count() const { return key_index_.size(); }
 
@@ -104,15 +107,15 @@ class TaskLedger {
   TimeMicros window_start() const { return window_start_; }
 
   // ---- Estimation-stage access ---------------------------------------------
-  // Slot-based iteration over live tasks in ascending-TaskId order (the
-  // intrusive live list; see header comment). The usage row of a slot holds
-  // resource_count() cells, cell r belonging to ResourceId r + 1.
-  uint32_t live_head() const { return live_head_; }
-  uint32_t next_live(uint32_t slot) const { return slot_next_[slot]; }
-  TaskRecord& task_at(uint32_t slot) { return task_slots_[slot]; }
+  // Slot-based iteration in ascending-TaskId order: walk [0, slot_count())
+  // and skip slots that are not live_at(slot). The usage row of a slot holds
+  // resource_count() cells, cell r belonging to ResourceId r + 1; a dead
+  // slot's row is all zero.
+  uint32_t slot_count() const { return static_cast<uint32_t>(task_slots_.size()); }
+  bool live_at(uint32_t slot) const { return slot_live_[slot] != 0; }
   const TaskRecord& task_at(uint32_t slot) const { return task_slots_[slot]; }
   const TaskResourceUsage* usage_row(uint32_t slot) const {
-    return usage_.data() + static_cast<size_t>(slot) * usage_stride_;
+    return usage_.data() + static_cast<size_t>(slot) * resources_.size();
   }
   size_t resource_count() const { return resources_.size(); }
   ResourceRecord& resource_at(size_t i) { return resources_[i]; }
@@ -138,6 +141,11 @@ class TaskLedger {
   static TimeMicros TraceNowPerEvent(TaskLedger* self);
   static TimeMicros TraceNowSampled(TaskLedger* self);
 
+  static constexpr uint32_t kNilSlot = DenseKeyIndex::kNotFound;
+
+  TaskResourceUsage* Row(uint32_t slot) {
+    return usage_.data() + static_cast<size_t>(slot) * resources_.size();
+  }
   TaskRecord* Lookup(uint64_t key);
   TaskResourceUsage* UsageFor(uint64_t key, ResourceId resource);
   // Valid resource slot index for `id`, or SIZE_MAX when out of range.
@@ -145,35 +153,26 @@ class TaskLedger {
     const size_t i = static_cast<size_t>(id) - 1;
     return i < resources_.size() ? i : static_cast<size_t>(-1);
   }
-  // Folds a departing task's open holdings into the per-resource ledger,
-  // unlinks the slot from the live list, zeroes its usage row, and recycles
-  // the slot. All O(stride), allocation-free.
-  void ReleaseSlot(uint32_t slot);
-  // Grows the usage matrix to a new stride (setup-time: resource
-  // registration only), repacking existing rows.
-  void Restride(size_t new_stride);
+  // Squeezes the dead slots out of the arena, keeping slot order, and
+  // repoints the moved keys. O(slots), allocation-free.
+  void Compact();
 
   Clock* clock_;
   const AtroposConfig config_;
   AtroposStats* stats_;
 
-  // Struct-of-arrays task registry: dense slots + free list + intrusive live
-  // list (ascending-id iteration) + open-addressed key/id indexes.
+  // Id-ordered task arena: its capacity is task_slots_.capacity(). The
+  // liveness bytes sit apart from the records so the walks that skip dead
+  // slots, and compaction, do not pull dead records into cache.
   std::vector<TaskRecord> task_slots_;
-  std::vector<uint32_t> slot_prev_;
-  std::vector<uint32_t> slot_next_;
-  std::vector<uint32_t> free_slots_;
-  uint32_t live_head_ = kNilSlot;
-  uint32_t live_tail_ = kNilSlot;
-  DenseKeyIndex key_index_;  // application key -> slot
-  DenseKeyIndex id_index_;   // TaskId -> slot (ids are unique, never reused)
+  std::vector<uint8_t> slot_live_;
+  DenseKeyIndex key_index_;  // application key -> live slot
 
   // Resource registry: ids are dense and never freed; index = id - 1.
   std::vector<ResourceRecord> resources_;
 
-  // Flat task×resource usage matrix: cell = slot * usage_stride_ + (rid - 1).
+  // Flat task×resource usage matrix: cell = slot * resource_count() + (rid - 1).
   std::vector<TaskResourceUsage> usage_;
-  size_t usage_stride_ = 0;
 
   TaskId next_task_id_ = 1;
   ResourceId next_resource_id_ = 1;

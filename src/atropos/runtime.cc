@@ -204,6 +204,8 @@ void AtroposRuntime::Tick() {
         // notifies the observer below.
         recorder_->Record(std::move(ev));
       }
+      // `victim` is not used past this call: the cancel action may re-enter
+      // RegisterTask, whose arena compaction or growth moves TaskRecords.
       dispatcher_.Dispatch(victim->key, decision.score, now);
       break;
     }

@@ -11,20 +11,23 @@ WindowAggregator::WindowAggregator(Clock* clock, const AtroposConfig& config,
 }
 
 // atropos-lint: alloc-free
-void WindowAggregator::ReleaseRequestSlot(uint32_t slot) {
-  const uint32_t prev = req_prev_[slot];
-  const uint32_t next = req_next_[slot];
-  if (prev != kNilSlot) {
-    req_next_[prev] = next;
-  } else {
-    inflight_head_ = next;
+void WindowAggregator::DropKey(uint64_t key) {
+  // The last entry moves into the freed slot: the registry stays packed.
+  const uint32_t slot = inflight_index_.Find(key);
+  if (slot == kNilSlot) {
+    return;
   }
-  if (next != kNilSlot) {
-    req_prev_[next] = prev;
-  } else {
-    inflight_tail_ = prev;
+  inflight_index_.Erase(key);
+  const uint32_t last = static_cast<uint32_t>(req_key_.size() - 1);
+  if (slot != last) {
+    req_key_[slot] = req_key_[last];
+    req_start_[slot] = req_start_[last];
+    req_class_[slot] = req_class_[last];
+    inflight_index_.Repoint(req_key_[slot], slot);
   }
-  free_req_slots_.push_back(slot);
+  req_key_.pop_back();
+  req_start_.pop_back();
+  req_class_.pop_back();
 }
 
 void WindowAggregator::OnRequestStart(uint64_t key, int client_class) {
@@ -40,28 +43,10 @@ void WindowAggregator::OnRequestStart(uint64_t key, int client_class) {
     req_class_[existing] = client_class;
     return;
   }
-  uint32_t slot;
-  if (!free_req_slots_.empty()) {
-    slot = free_req_slots_.back();
-    free_req_slots_.pop_back();
-  } else {
-    slot = static_cast<uint32_t>(req_start_.size());
-    req_start_.push_back(0);
-    req_class_.push_back(0);
-    req_prev_.push_back(kNilSlot);
-    req_next_.push_back(kNilSlot);
-  }
-  req_start_[slot] = now;
-  req_class_[slot] = client_class;
-  req_prev_[slot] = inflight_tail_;
-  req_next_[slot] = kNilSlot;
-  if (inflight_tail_ != kNilSlot) {
-    req_next_[inflight_tail_] = slot;
-  } else {
-    inflight_head_ = slot;
-  }
-  inflight_tail_ = slot;
-  inflight_index_.Put(key, slot);
+  inflight_index_.Put(key, static_cast<uint32_t>(req_key_.size()));
+  req_key_.push_back(key);
+  req_start_.push_back(now);
+  req_class_.push_back(client_class);
 }
 
 // atropos-lint: alloc-free
@@ -75,26 +60,13 @@ void WindowAggregator::OnRequestEnd(uint64_t key, TimeMicros latency, int client
   TimeMicros now = clock_->NowMicros();
   TimeMicros in_window = now > window_start_ ? now - window_start_ : 0;
   window_exec_time_ += std::min(latency, in_window);
-  const uint32_t slot = inflight_index_.Find(key);
-  if (slot != kNilSlot) {
-    inflight_index_.Erase(key);
-    ReleaseRequestSlot(slot);
-  }
-}
-
-// atropos-lint: alloc-free
-void WindowAggregator::DropKey(uint64_t key) {
-  const uint32_t slot = inflight_index_.Find(key);
-  if (slot != kNilSlot) {
-    inflight_index_.Erase(key);
-    ReleaseRequestSlot(slot);
-  }
+  DropKey(key);
 }
 
 // atropos-lint: alloc-free
 uint64_t WindowAggregator::CountOverdue(TimeMicros now, TimeMicros slo) const {
   uint64_t overdue = 0;
-  for (uint32_t slot = inflight_head_; slot != kNilSlot; slot = req_next_[slot]) {
+  for (size_t slot = 0; slot < req_start_.size(); slot++) {
     if (config_.slo_client_class >= 0 && req_class_[slot] != config_.slo_client_class) {
       continue;  // long-running batch requests are not SLO violations
     }

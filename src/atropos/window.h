@@ -8,10 +8,11 @@
 // decision state; the façade closes it once per Tick.
 //
 // Layout (DESIGN.md §17): the latency histogram is epoch-sliced so Roll() is
-// O(1) instead of an O(buckets) memset, and the in-flight registry is a dense
-// slot pool (DenseKeyIndex + intrusive live list) so the steady-state request
-// lifecycle — start, end, drop — is allocation-free and CountOverdue walks a
-// contiguous live list instead of a node-based hash map.
+// O(1) instead of an O(buckets) memset, and the in-flight registry is dense:
+// parallel arrays packed into [0, n), with swap-and-pop on release and a
+// DenseKeyIndex from request key to slot. The steady-state request lifecycle
+// — start, end, drop — is allocation-free, and CountOverdue scans n
+// contiguous entries instead of a node-based hash map.
 
 #ifndef SRC_ATROPOS_WINDOW_H_
 #define SRC_ATROPOS_WINDOW_H_
@@ -56,9 +57,6 @@ class WindowAggregator {
  private:
   static constexpr uint32_t kNilSlot = DenseKeyIndex::kNotFound;
 
-  // Unlinks and recycles an in-flight slot. Allocation-free.
-  void ReleaseRequestSlot(uint32_t slot);
-
   Clock* clock_;
   const AtroposConfig config_;
   AtroposStats* stats_;
@@ -68,18 +66,13 @@ class WindowAggregator {
   TimeMicros window_exec_time_ = 0;  // T_exec accumulator (completed requests)
   TimeMicros window_start_ = 0;
 
-  // In-flight registry: dense slot pool with free-list recycling. The
-  // intrusive live list exists so CountOverdue can walk exactly the live
-  // slots; its order is irrelevant (CountOverdue only counts, matching the
-  // order-free semantics of the hash map it replaces).
+  // In-flight registry, packed into [0, req_key_.size()). Its order is
+  // irrelevant: CountOverdue only counts, matching the order-free semantics
+  // of the hash map it replaces.
   DenseKeyIndex inflight_index_;  // request key -> slot
+  std::vector<uint64_t> req_key_;
   std::vector<TimeMicros> req_start_;
   std::vector<int> req_class_;
-  std::vector<uint32_t> req_prev_;
-  std::vector<uint32_t> req_next_;
-  std::vector<uint32_t> free_req_slots_;
-  uint32_t inflight_head_ = kNilSlot;
-  uint32_t inflight_tail_ = kNilSlot;
 };
 
 }  // namespace atropos

@@ -2,8 +2,10 @@
 //
 // The SoA refactor's core promise is that the per-event hot path — tracing
 // hooks into the TaskLedger, request lifecycle into the WindowAggregator, and
-// task registration/teardown over recycled slots — performs ZERO heap
-// allocations once the registries are warm. This binary overrides global
+// task registration/teardown — performs ZERO heap allocations once the
+// registries are warm. Registration appends to the ledger's task arena; at a
+// stable population the arena compacts in place instead of growing, so
+// register/free churn cycles through it without allocating. This binary overrides global
 // operator new/delete with counting wrappers and asserts exactly that: warm
 // the structures past their high-water mark, arm the counter, drive tens of
 // thousands of events, and require the allocation count to still be zero.
@@ -19,7 +21,8 @@
 // count, pinned by the TickAllocations test below.
 //
 // Deliberately NOT inside any armed region: first-touch growth (new tasks or
-// resources beyond the high-water mark) and resource registration.
+// resources beyond the high-water mark, including growth of the task arena)
+// and resource registration.
 
 #include <atomic>
 #include <cstdlib>
@@ -188,6 +191,53 @@ TEST(AllocOracleTest, KeyChurnOverRecycledSlotsIsAllocationFree) {
   }
   EXPECT_EQ(armed.count(), 0u)
       << "key churn over recycled slots allocated after warm-up";
+}
+
+// The arena at scale: over a thousand live tasks, with churn that retires the
+// oldest task and registers a new one, so the arena fills and compacts in
+// place again and again while the counter is armed.
+TEST(AllocOracleTest, ArenaCompactionAtScaleIsAllocationFree) {
+  ManualClock clock;
+  AtroposConfig config;
+  AtroposStats stats;
+  TaskLedger ledger(&clock, config, &stats);
+  const ResourceId lock = ledger.RegisterResource("lock", ResourceClass::kLock);
+  const ResourceId pool = ledger.RegisterResource("pool", ResourceClass::kMemory);
+
+  constexpr uint64_t kLive = 1200;
+  uint64_t oldest = 0;
+  uint64_t next_key = 0;
+  auto churn = [&] {
+    ledger.FreeTask(oldest++);
+    const uint64_t key = next_key++;
+    ledger.RegisterTask(key, false, true);
+    ledger.RecordGet(key, pool, 4);
+    ledger.RecordWaitBegin(key, lock);
+    ledger.RecordProgress(key, 1, 2);
+  };
+  for (uint64_t k = 0; k < kLive; k++) {
+    ledger.RegisterTask(next_key++, false, true);
+  }
+  // Warm: churn until the arena has grown to its steady capacity.
+  for (int i = 0; i < 20000; i++) {
+    churn();
+  }
+
+  int compactions = 0;
+  AllocArmed armed;
+  for (int i = 0; i < 40000; i++) {
+    const uint32_t slots_before = ledger.slot_count();
+    churn();
+    if (ledger.slot_count() <= slots_before) {
+      compactions++;
+    }
+    if (i % 100 == 99) {
+      ledger.RollWindow(clock.NowMicros());
+    }
+  }
+  EXPECT_EQ(armed.count(), 0u) << "arena churn allocated after warm-up";
+  EXPECT_GE(compactions, 10) << "the armed churn must compact the arena repeatedly";
+  EXPECT_EQ(ledger.live_task_count(), kLive);
 }
 
 // Heap allocations across `ticks` warm Ticks of a runtime holding `live`

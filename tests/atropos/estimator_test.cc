@@ -12,7 +12,7 @@ namespace {
 // Tests stage ledger state directly through the Mutable* accessors (no stats
 // side effects), then run the estimator over the ledger's books. Task keys
 // map to ledger-assigned ids via FindTask; candidate order is the ledger's
-// live list, i.e. registration order.
+// arena, i.e. registration order.
 class EstimatorTest : public ::testing::Test {
  protected:
   EstimatorTest() {
