@@ -100,7 +100,11 @@ RunResult RunOnce(int threads, uint64_t events, size_t ring_capacity, bool loss_
       // one mutex-protected step and must not count against the hot path.
       ConcurrentFrontend::Producer* p = frontend.RegisterProducer();
       const uint64_t base_key = 1'000'000ull * static_cast<uint64_t>(t + 1);
-      p->OnTaskRegistered(base_key, /*background=*/false);
+      p->Push({.key = base_key, .kind = TraceEventKind::kTaskRegistered});
+      const TraceEvent get_ev{
+          .key = base_key, .a = 1, .resource = lock, .kind = TraceEventKind::kGet};
+      const TraceEvent free_ev{
+          .key = base_key, .a = 1, .resource = lock, .kind = TraceEventKind::kFree};
       ready.fetch_add(1, std::memory_order_acq_rel);
       while (!go.load(std::memory_order_acquire)) {
       }
@@ -109,13 +113,13 @@ RunResult RunOnce(int threads, uint64_t events, size_t ring_capacity, bool loss_
         // catches up. spins-then-yield keeps the 1-core case live.
         for (uint64_t i = 1; i + 1 < per_thread; i += 2) {
           int spins = 0;
-          while (!p->OnGet(base_key, lock, 1)) {
+          while (!p->Push(get_ev)) {
             if (++spins > 64) {
               std::this_thread::yield();
             }
           }
           spins = 0;
-          while (!p->OnFree(base_key, lock, 1)) {
+          while (!p->Push(free_ev)) {
             if (++spins > 64) {
               std::this_thread::yield();
             }
@@ -123,12 +127,13 @@ RunResult RunOnce(int threads, uint64_t events, size_t ring_capacity, bool loss_
         }
       } else {
         for (uint64_t i = 1; i + 1 < per_thread; i += 2) {
-          p->OnGet(base_key, lock, 1);
-          p->OnFree(base_key, lock, 1);
+          p->Push(get_ev);
+          p->Push(free_ev);
         }
       }
       int spins = 0;
-      while (!p->OnTaskFreed(base_key) && loss_free) {
+      const TraceEvent freed_ev{.key = base_key, .kind = TraceEventKind::kTaskFreed};
+      while (!p->Push(freed_ev) && loss_free) {
         if (++spins > 64) {
           std::this_thread::yield();
         }

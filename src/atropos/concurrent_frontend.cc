@@ -65,26 +65,18 @@ EventRing::EventRing(size_t capacity) : slots_(RoundUpPow2(std::max<size_t>(capa
   mask_ = slots_.size() - 1;
 }
 
-bool EventRing::Push(const TraceEvent& ev) {
+// atropos-lint: alloc-free
+bool EventRing::Push(const TraceEvent& ev, TimeMicros time) {
   const uint64_t tail = tail_.load(std::memory_order_relaxed);
   const uint64_t head = head_.load(std::memory_order_acquire);
   if (tail - head >= slots_.size()) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  slots_[tail & mask_] = ev;
+  TraceEvent& slot = slots_[tail & mask_];
+  slot = ev;
+  slot.time = time;
   tail_.store(tail + 1, std::memory_order_release);
-  return true;
-}
-
-bool EventRing::TryPop(TraceEvent* out) {
-  const uint64_t head = head_.load(std::memory_order_relaxed);
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
-  if (head == tail) {
-    return false;
-  }
-  *out = slots_[head & mask_];
-  head_.store(head + 1, std::memory_order_release);
   return true;
 }
 
@@ -109,109 +101,11 @@ size_t EventRing::PopBatch(TraceEvent* out, size_t max) {
   return n;
 }
 
-size_t EventRing::SizeApprox() const {
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
-  return tail >= head ? static_cast<size_t>(tail - head) : 0;
-}
-
 // ---- Producer --------------------------------------------------------------
 
-bool ConcurrentFrontend::Producer::Push(TraceEvent ev) {
-  ev.time = clock_->NowMicros();
-  return ring_.Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnTaskRegistered(uint64_t key, bool background,
-                                                    bool cancellable) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kTaskRegistered;
-  ev.key = key;
-  ev.background = background;
-  ev.cancellable = cancellable;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnTaskFreed(uint64_t key) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kTaskFreed;
-  ev.key = key;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnGet(uint64_t key, ResourceId resource, uint64_t amount) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kGet;
-  ev.key = key;
-  ev.resource = resource;
-  ev.a = amount;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnFree(uint64_t key, ResourceId resource, uint64_t amount) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kFree;
-  ev.key = key;
-  ev.resource = resource;
-  ev.a = amount;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnWaitBegin(uint64_t key, ResourceId resource) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kWaitBegin;
-  ev.key = key;
-  ev.resource = resource;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnWaitEnd(uint64_t key, ResourceId resource) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kWaitEnd;
-  ev.key = key;
-  ev.resource = resource;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnRequestStart(uint64_t key, int request_type,
-                                                  int client_class) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kRequestStart;
-  ev.key = key;
-  ev.request_type = request_type;
-  ev.client_class = client_class;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnRequestEnd(uint64_t key, TimeMicros latency,
-                                                int request_type, int client_class) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kRequestEnd;
-  ev.key = key;
-  ev.a = latency;
-  ev.request_type = request_type;
-  ev.client_class = client_class;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnUsage(uint64_t key, ResourceId resource, TimeMicros waited,
-                                           TimeMicros used) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kUsage;
-  ev.key = key;
-  ev.resource = resource;
-  ev.a = waited;
-  ev.b = used;
-  return Push(ev);
-}
-
-bool ConcurrentFrontend::Producer::OnProgress(uint64_t key, uint64_t done, uint64_t total) {
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kProgress;
-  ev.key = key;
-  ev.a = done;
-  ev.b = total;
-  return Push(ev);
+// atropos-lint: alloc-free
+bool ConcurrentFrontend::Producer::Push(const TraceEvent& ev) {
+  return ring_.Push(ev, clock_->NowMicros());
 }
 
 // ---- ConcurrentFrontend ----------------------------------------------------
@@ -237,7 +131,7 @@ ConcurrentFrontend::~ConcurrentFrontend() {
 }
 
 ConcurrentFrontend::Producer* ConcurrentFrontend::RegisterProducer() {
-  MalthusianLockGuard lock(registry_mu_);
+  std::lock_guard<std::mutex> lock(registry_mu_);
   producers_.push_back(
       std::unique_ptr<Producer>(new Producer(clock_, options_.ring_capacity)));
   producers_seen_++;
@@ -245,11 +139,11 @@ ConcurrentFrontend::Producer* ConcurrentFrontend::RegisterProducer() {
 }
 
 size_t ConcurrentFrontend::live_producer_count() {
-  MalthusianLockGuard lock(registry_mu_);
+  std::lock_guard<std::mutex> lock(registry_mu_);
   return producers_.size();
 }
 
-ConcurrentFrontend::Producer* ConcurrentFrontend::ThisThreadProducer() {
+inline ConcurrentFrontend::Producer* ConcurrentFrontend::ThisThreadProducer() {
   // Keyed by a never-reused instance id so a binding to a destroyed frontend
   // can go stale but never alias a live one. The wrapper's destructor retires
   // the bindings at thread exit (see CapturedTlsBindings).
@@ -264,38 +158,9 @@ ConcurrentFrontend::Producer* ConcurrentFrontend::ThisThreadProducer() {
   return p;
 }
 
-void ConcurrentFrontend::OnTaskRegistered(uint64_t key, bool background, bool cancellable) {
-  ThisThreadProducer()->OnTaskRegistered(key, background, cancellable);
-}
-void ConcurrentFrontend::OnTaskFreed(uint64_t key) {
-  ThisThreadProducer()->OnTaskFreed(key);
-}
-void ConcurrentFrontend::OnGet(uint64_t key, ResourceId resource, uint64_t amount) {
-  ThisThreadProducer()->OnGet(key, resource, amount);
-}
-void ConcurrentFrontend::OnFree(uint64_t key, ResourceId resource, uint64_t amount) {
-  ThisThreadProducer()->OnFree(key, resource, amount);
-}
-void ConcurrentFrontend::OnWaitBegin(uint64_t key, ResourceId resource) {
-  ThisThreadProducer()->OnWaitBegin(key, resource);
-}
-void ConcurrentFrontend::OnWaitEnd(uint64_t key, ResourceId resource) {
-  ThisThreadProducer()->OnWaitEnd(key, resource);
-}
-void ConcurrentFrontend::OnRequestStart(uint64_t key, int request_type, int client_class) {
-  ThisThreadProducer()->OnRequestStart(key, request_type, client_class);
-}
-void ConcurrentFrontend::OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                                      int client_class) {
-  ThisThreadProducer()->OnRequestEnd(key, latency, request_type, client_class);
-}
-void ConcurrentFrontend::OnUsage(uint64_t key, ResourceId resource, TimeMicros waited,
-                                 TimeMicros used) {
-  ThisThreadProducer()->OnUsage(key, resource, waited, used);
-}
-void ConcurrentFrontend::OnProgress(uint64_t key, uint64_t done, uint64_t total) {
-  ThisThreadProducer()->OnProgress(key, done, total);
-}
+// Defined here, next to ThisThreadProducer and Producer::Push, so both inline
+// into the one call the hooks make.
+void ConcurrentFrontend::Apply(const TraceEvent& ev) { ThisThreadProducer()->Push(ev); }
 
 void ConcurrentFrontend::BindMetrics(MetricsRegistry* metrics) {
   if (metrics == nullptr) {
@@ -308,42 +173,6 @@ void ConcurrentFrontend::BindMetrics(MetricsRegistry* metrics) {
   producers_gauge_ = metrics->GetGauge("intake.producers");
 }
 
-void ConcurrentFrontend::Apply(const TraceEvent& ev) {
-  replay_clock_.BeginReplay(ev.time);
-  switch (ev.kind) {
-    case TraceEventKind::kTaskRegistered:
-      runtime_.OnTaskRegistered(ev.key, ev.background, ev.cancellable);
-      break;
-    case TraceEventKind::kTaskFreed:
-      runtime_.OnTaskFreed(ev.key);
-      break;
-    case TraceEventKind::kGet:
-      runtime_.OnGet(ev.key, ev.resource, ev.a);
-      break;
-    case TraceEventKind::kFree:
-      runtime_.OnFree(ev.key, ev.resource, ev.a);
-      break;
-    case TraceEventKind::kWaitBegin:
-      runtime_.OnWaitBegin(ev.key, ev.resource);
-      break;
-    case TraceEventKind::kWaitEnd:
-      runtime_.OnWaitEnd(ev.key, ev.resource);
-      break;
-    case TraceEventKind::kRequestStart:
-      runtime_.OnRequestStart(ev.key, ev.request_type, ev.client_class);
-      break;
-    case TraceEventKind::kRequestEnd:
-      runtime_.OnRequestEnd(ev.key, ev.a, ev.request_type, ev.client_class);
-      break;
-    case TraceEventKind::kUsage:
-      runtime_.OnUsage(ev.key, ev.resource, ev.a, ev.b);
-      break;
-    case TraceEventKind::kProgress:
-      runtime_.OnProgress(ev.key, ev.a, ev.b);
-      break;
-  }
-}
-
 void ConcurrentFrontend::Tick() {
   drain_buf_.clear();
   uint64_t max_depth = 0;
@@ -352,7 +181,7 @@ void ConcurrentFrontend::Tick() {
   uint64_t seen = 0;
   uint64_t retired_count = 0;
   {
-    MalthusianLockGuard lock(registry_mu_);
+    std::lock_guard<std::mutex> lock(registry_mu_);
     size_t keep = 0;
     for (size_t i = 0; i < producers_.size(); i++) {
       std::unique_ptr<Producer>& p = producers_[i];
@@ -395,7 +224,8 @@ void ConcurrentFrontend::Tick() {
   std::stable_sort(drain_buf_.begin(), drain_buf_.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.time < b.time; });
   for (const TraceEvent& ev : drain_buf_) {
-    Apply(ev);
+    replay_clock_.BeginReplay(ev.time);
+    runtime_.Apply(ev);
   }
   replay_clock_.EndReplay();
 

@@ -15,11 +15,15 @@
 //                                          then run the control loop
 //
 // Each producer thread owns one fixed-capacity single-producer/single-
-// consumer ring of POD TraceEvents. The hot path is one clock read plus one
-// ring slot write — no locks, no allocation, no shared cache lines between
-// producers. When a ring is full the event is dropped and counted (lossy-
-// with-counter): under the overload conditions Atropos exists for, losing a
-// trace event is strictly better than blocking an application thread.
+// consumer ring of TraceEvents — the same POD encoding every controller
+// consumes through OverloadController::Apply, so the frontend neither
+// re-encodes on the way in nor decodes on the way out: its Apply override
+// pushes the event, and the drain hands it to the runtime's Apply unchanged.
+// The hot path is one clock read plus one ring slot write — no locks, no
+// allocation, no shared cache lines between producers. When a ring is full
+// the event is dropped and counted (lossy-with-counter): under the overload
+// conditions Atropos exists for, losing a trace event is strictly better than
+// blocking an application thread.
 //
 // Timestamps are taken at enqueue, not at drain. The drainer replays each
 // event through a ReplayClock that presents the enqueue-time clock reading
@@ -31,8 +35,9 @@
 // stream as single-threaded feeding (proved by concurrent_frontend_test).
 //
 // Threading contract:
-//   - Instrumentation hooks: any thread; each calling thread is bound to its
-//     own ring on first use (or via an explicit RegisterProducer() handle).
+//   - Instrumentation hooks (On* / Apply): any thread; each calling thread is
+//     bound to its own ring on first use (or via an explicit
+//     RegisterProducer() handle and Producer::Push).
 //   - Tick(): exactly one drainer thread (typically the control-loop timer).
 //   - Setup (RegisterResource, SetCancelAction, BindMetrics, recorder
 //     attachment): single-threaded, before producers start.
@@ -52,12 +57,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
+#include <mutex>
 #include <vector>
 
 #include "src/atropos/config.h"
 #include "src/atropos/controller.h"
-#include "src/atropos/malthusian_mutex.h"
 #include "src/atropos/runtime.h"
 #include "src/common/clock.h"
 #include "src/common/thread_annotations.h"
@@ -65,58 +69,24 @@
 
 namespace atropos {
 
-// One instrumentation call, flattened to a fixed-size POD so ring slots are
-// trivially copyable and the producer path never allocates.
-enum class TraceEventKind : uint8_t {
-  kTaskRegistered = 0,
-  kTaskFreed = 1,
-  kGet = 2,
-  kFree = 3,
-  kWaitBegin = 4,
-  kWaitEnd = 5,
-  kRequestStart = 6,
-  kRequestEnd = 7,
-  kUsage = 8,
-  kProgress = 9,
-};
-
-struct TraceEvent {
-  TimeMicros time = 0;  // clock reading at enqueue (§3.2 attribution)
-  uint64_t key = 0;
-  uint64_t a = 0;  // amount | waited | done | latency, by kind
-  uint64_t b = 0;  // used | total, by kind
-  ResourceId resource = kInvalidResourceId;
-  int32_t request_type = 0;
-  int32_t client_class = 0;
-  TraceEventKind kind = TraceEventKind::kGet;
-  bool background = false;
-  bool cancellable = true;
-};
-static_assert(std::is_trivially_copyable_v<TraceEvent>,
-              "ring slots must be memcpy-able");
-
 // Fixed-capacity single-producer/single-consumer ring. Push is producer-
-// thread-only, TryPop consumer-thread-only; the two sides synchronize through
-// the head/tail indices (release on publish, acquire on read). A full ring
-// drops the event and counts it — producers never block.
+// thread-only, PopBatch consumer-thread-only; the two sides synchronize
+// through the head/tail indices (release on publish, acquire on read). A full
+// ring drops the event and counts it — producers never block.
 class EventRing {
  public:
   explicit EventRing(size_t capacity);
 
-  // Producer side. Returns false (and counts the drop) when full.
-  bool Push(const TraceEvent& ev);
-
-  // Consumer side. Returns false when empty.
-  bool TryPop(TraceEvent* out);
+  // Producer side: stores `ev` stamped with `time`. Returns false (and
+  // counts the drop) when full.
+  bool Push(const TraceEvent& ev, TimeMicros time);
 
   // Consumer side, batched: pops up to `max` events into `out`, returning the
   // number popped. One acquire load of the published tail and at most two
-  // memcpy spans (wrap-around), then a single release store of the head —
-  // amortizing the per-event fence traffic TryPop pays.
+  // memcpy spans (wrap-around), then a single release store of the head.
   size_t PopBatch(TraceEvent* out, size_t max);
 
-  // Racy-but-monotone observations, safe from any thread.
-  size_t SizeApprox() const;
+  // Racy-but-monotone observation, safe from any thread.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
   size_t capacity() const { return slots_.size(); }
 
@@ -169,32 +139,23 @@ class ConcurrentFrontend final : public OverloadController {
 
   // Explicit per-thread producer handle. One handle == one SPSC ring == one
   // producing thread (the SPSC discipline is the caller's responsibility when
-  // handles are held explicitly; the OverloadController hooks below bind the
-  // calling thread automatically instead). Handles stay valid for the
-  // frontend's lifetime. Thread-safe.
-  // Each hook returns true when the event reached the ring and false when a
-  // full ring dropped (and counted) it — callers that need loss-free delivery
-  // (benchmarks, batch loaders) can retry on false as backpressure; the
-  // OverloadController facade below ignores the result (lossy-with-counter).
+  // handles are held explicitly; Apply() binds the calling thread
+  // automatically instead). Handles stay valid for the frontend's lifetime.
+  // Thread-safe.
   class Producer {
    public:
-    bool OnTaskRegistered(uint64_t key, bool background, bool cancellable = true);
-    bool OnTaskFreed(uint64_t key);
-    bool OnGet(uint64_t key, ResourceId resource, uint64_t amount);
-    bool OnFree(uint64_t key, ResourceId resource, uint64_t amount);
-    bool OnWaitBegin(uint64_t key, ResourceId resource);
-    bool OnWaitEnd(uint64_t key, ResourceId resource);
-    bool OnRequestStart(uint64_t key, int request_type, int client_class);
-    bool OnRequestEnd(uint64_t key, TimeMicros latency, int request_type, int client_class);
-    bool OnUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used);
-    bool OnProgress(uint64_t key, uint64_t done, uint64_t total);
+    // Stamps `ev.time` with the current clock reading and enqueues it.
+    // Returns true when the event reached the ring and false when a full ring
+    // dropped (and counted) it — callers that need loss-free delivery
+    // (benchmarks, batch loaders) can retry on false as backpressure; Apply()
+    // ignores the result (lossy-with-counter).
+    bool Push(const TraceEvent& ev);
 
     uint64_t dropped() const { return ring_.dropped(); }
 
    private:
     friend class ConcurrentFrontend;
     Producer(Clock* clock, size_t ring_capacity) : clock_(clock), ring_(ring_capacity) {}
-    bool Push(TraceEvent ev);
 
     Clock* clock_;
     EventRing ring_;
@@ -207,19 +168,10 @@ class ConcurrentFrontend final : public OverloadController {
   Producer* RegisterProducer() ATROPOS_EXCLUDES(registry_mu_);
 
   // ---- OverloadController: producer side ----------------------------------
-  // Each hook stamps the current time and enqueues on the calling thread's
-  // ring, auto-registering the thread on first use.
-  void OnTaskRegistered(uint64_t key, bool background, bool cancellable = true) override;
-  void OnTaskFreed(uint64_t key) override;
-  void OnGet(uint64_t key, ResourceId resource, uint64_t amount) override;
-  void OnFree(uint64_t key, ResourceId resource, uint64_t amount) override;
-  void OnWaitBegin(uint64_t key, ResourceId resource) override;
-  void OnWaitEnd(uint64_t key, ResourceId resource) override;
-  void OnRequestStart(uint64_t key, int request_type, int client_class) override;
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override;
-  void OnUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used) override;
-  void OnProgress(uint64_t key, uint64_t done, uint64_t total) override;
+  // Every On* hook lands here: the event is stamped with the current time
+  // and enqueued on the calling thread's ring, auto-registering the thread
+  // on first use.
+  void Apply(const TraceEvent& ev) override;
 
   // ---- Setup (single-threaded, before producers start) --------------------
   ResourceId RegisterResource(std::string name, ResourceClass cls) override {
@@ -267,7 +219,6 @@ class ConcurrentFrontend final : public OverloadController {
   // frontend registry lock, so `p` cannot be concurrently destroyed). Lock-
   // free on the frontend itself: a single release store.
   void RetireProducer(Producer* p) { p->retired_.store(true, std::memory_order_release); }
-  void Apply(const TraceEvent& ev);
 
   const uint64_t instance_id_;  // never reused; keys the thread-local cache
   Clock* clock_;
@@ -275,11 +226,8 @@ class ConcurrentFrontend final : public OverloadController {
   AtroposRuntime runtime_;
   Options options_;
 
-  // Guards producers_. Registration is rare but bursty (worker-pool spin-up)
-  // and the drainer takes this lock every Tick, so the guard is a Malthusian
-  // mutex: surplus waiters are culled to sleep instead of spinning against
-  // the drainer (DESIGN.md §17).
-  MalthusianMutex registry_mu_;
+  // Guards producers_. Taken only at thread registration and once per Tick.
+  std::mutex registry_mu_;
   std::vector<std::unique_ptr<Producer>> producers_ ATROPOS_GUARDED_BY(registry_mu_);
   uint64_t producers_seen_ ATROPOS_GUARDED_BY(registry_mu_) = 0;
   uint64_t producers_retired_ ATROPOS_GUARDED_BY(registry_mu_) = 0;

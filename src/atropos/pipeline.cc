@@ -2,15 +2,10 @@
 
 namespace atropos {
 
-DecisionPipeline DecisionPipeline::Default(const AtroposConfig& config) {
-  DecisionPipeline pipeline;
-  pipeline.detection = std::make_unique<BreakwaterDetectionStage>(config);
-  pipeline.estimation = std::make_unique<GainEstimationStage>(config);
-  pipeline.selection = MakeSelectionPolicy(config.policy);
-  return pipeline;
-}
+namespace {
 
-std::unique_ptr<SelectionPolicy> DecisionPipeline::MakeSelectionPolicy(PolicyKind kind) {
+// The Fig 13 policy stages by ablation kind.
+std::unique_ptr<SelectionPolicy> MakeSelectionPolicy(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kMultiObjective:
       return std::make_unique<MultiObjectivePolicy>();
@@ -20,6 +15,16 @@ std::unique_ptr<SelectionPolicy> DecisionPipeline::MakeSelectionPolicy(PolicyKin
       return std::make_unique<CurrentUsagePolicy>();
   }
   return std::make_unique<MultiObjectivePolicy>();
+}
+
+}  // namespace
+
+DecisionPipeline DecisionPipeline::Default(const AtroposConfig& config) {
+  DecisionPipeline pipeline;
+  pipeline.detection = std::make_unique<BreakwaterDetectionStage>(config);
+  pipeline.estimation = std::make_unique<GainEstimationStage>(config);
+  pipeline.selection = MakeSelectionPolicy(config.policy);
+  return pipeline;
 }
 
 }  // namespace atropos

@@ -138,9 +138,6 @@ struct DecisionPipeline {
   // The paper's pipeline: Breakwater detection, gain estimation, and the
   // selection policy named by config.policy.
   static DecisionPipeline Default(const AtroposConfig& config);
-
-  // The Fig 13 policy stages by ablation kind.
-  static std::unique_ptr<SelectionPolicy> MakeSelectionPolicy(PolicyKind kind);
 };
 
 }  // namespace atropos

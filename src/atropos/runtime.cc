@@ -32,7 +32,7 @@ AtroposRuntime::AtroposRuntime(Clock* clock, AtroposConfig config, DecisionPipel
       breakwater_(dynamic_cast<const BreakwaterDetectionStage*>(pipeline_.detection.get())),
       dispatcher_(config, &stats_) {}
 
-void AtroposRuntime::OnTaskRegistered(uint64_t key, bool background, bool cancellable) {
+void AtroposRuntime::HandleTaskRegistered(uint64_t key, bool background, bool cancellable) {
   // §4: a re-executed (previously cancelled) task is non-cancellable so the
   // next overload targets a different culprit.
   if (dispatcher_.ConsumeCancelledKey(key)) {
@@ -41,7 +41,7 @@ void AtroposRuntime::OnTaskRegistered(uint64_t key, bool background, bool cancel
   ledger_.RegisterTask(key, background, cancellable);
 }
 
-void AtroposRuntime::OnTaskFreed(uint64_t key) {
+void AtroposRuntime::HandleTaskFreed(uint64_t key) {
   ledger_.FreeTask(key);
   window_.DropKey(key);
 }

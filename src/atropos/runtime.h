@@ -68,38 +68,6 @@ class AtroposRuntime final : public OverloadController {
   }
   const ResourceRecord* FindResource(ResourceId id) const { return ledger_.FindResource(id); }
 
-  // ---- Instrumentation stream (OverloadController) ------------------------
-  void OnTaskRegistered(uint64_t key, bool background, bool cancellable = true) override;
-  void OnTaskFreed(uint64_t key) override;
-  void OnGet(uint64_t key, ResourceId resource, uint64_t amount) override {
-    ledger_.RecordGet(key, resource, amount);
-  }
-  void OnFree(uint64_t key, ResourceId resource, uint64_t amount) override {
-    ledger_.RecordFree(key, resource, amount);
-  }
-  void OnWaitBegin(uint64_t key, ResourceId resource) override {
-    ledger_.RecordWaitBegin(key, resource);
-  }
-  void OnWaitEnd(uint64_t key, ResourceId resource) override {
-    ledger_.RecordWaitEnd(key, resource);
-  }
-  void OnRequestStart(uint64_t key, int request_type, int client_class) override {
-    window_.OnRequestStart(key, client_class);
-  }
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override {
-    window_.OnRequestEnd(key, latency, client_class);
-  }
-  void OnProgress(uint64_t key, uint64_t done, uint64_t total) override {
-    ledger_.RecordProgress(key, done, total);
-  }
-
-  // Completed wait+use report in one call; used by CPU/IO adapters that learn
-  // both durations only after the fact.
-  void OnUsage(uint64_t key, ResourceId resource, TimeMicros waited, TimeMicros used) override {
-    ledger_.RecordUsage(key, resource, waited, used);
-  }
-
   // ---- Control loop --------------------------------------------------------
   // Closes the current window: detection, estimation, and (when confirmed)
   // cancellation of the selected culprit.
@@ -156,6 +124,38 @@ class AtroposRuntime final : public OverloadController {
   void SetRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
  private:
+  // ---- Instrumentation stream (OverloadController handlers) ---------------
+  void HandleTaskRegistered(uint64_t key, bool background, bool cancellable) override;
+  void HandleTaskFreed(uint64_t key) override;
+  void HandleGet(uint64_t key, ResourceId resource, uint64_t amount) override {
+    ledger_.RecordGet(key, resource, amount);
+  }
+  void HandleFree(uint64_t key, ResourceId resource, uint64_t amount) override {
+    ledger_.RecordFree(key, resource, amount);
+  }
+  void HandleWaitBegin(uint64_t key, ResourceId resource) override {
+    ledger_.RecordWaitBegin(key, resource);
+  }
+  void HandleWaitEnd(uint64_t key, ResourceId resource) override {
+    ledger_.RecordWaitEnd(key, resource);
+  }
+  void HandleRequestStart(uint64_t key, int request_type, int client_class) override {
+    window_.OnRequestStart(key, client_class);
+  }
+  void HandleRequestEnd(uint64_t key, TimeMicros latency, int request_type,
+                        int client_class) override {
+    window_.OnRequestEnd(key, latency, client_class);
+  }
+  void HandleProgress(uint64_t key, uint64_t done, uint64_t total) override {
+    ledger_.RecordProgress(key, done, total);
+  }
+  // Completed wait+use report in one call; used by CPU/IO adapters that learn
+  // both durations only after the fact.
+  void HandleUsage(uint64_t key, ResourceId resource, TimeMicros waited,
+                   TimeMicros used) override {
+    ledger_.RecordUsage(key, resource, waited, used);
+  }
+
   Clock* clock_;
   AtroposConfig config_;
   AtroposStats stats_;

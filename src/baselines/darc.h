@@ -34,13 +34,6 @@ class Darc final : public OverloadController {
 
   std::string_view name() const override { return "darc"; }
 
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override {
-    Profile& p = profiles_[request_type];
-    p.count++;
-    p.total += latency;
-  }
-
   void Tick() override;
 
   int reserved_workers() const { return reserved_; }
@@ -53,6 +46,13 @@ class Darc final : public OverloadController {
       return count == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(count);
     }
   };
+
+  void HandleRequestEnd(uint64_t key, TimeMicros latency, int request_type,
+                        int client_class) override {
+    Profile& p = profiles_[request_type];
+    p.count++;
+    p.total += latency;
+  }
 
   ControlSurface* surface_;
   DarcConfig config_;

@@ -17,8 +17,8 @@ double Parties::ShareOf(int client_class) const {
   return it == shares_.end() ? 0.0 : it->second;
 }
 
-void Parties::OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                           int client_class) {
+void Parties::HandleRequestEnd(uint64_t key, TimeMicros latency, int request_type,
+                               int client_class) {
   window_latency_[client_class].Record(latency);
   window_completions_++;
 }

@@ -30,14 +30,15 @@ class Parties final : public OverloadController {
 
   std::string_view name() const override { return "parties"; }
 
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override;
   void Tick() override;
 
   double ShareOf(int client_class) const;
   uint64_t adjustments() const { return adjustments_; }
 
  private:
+  void HandleRequestEnd(uint64_t key, TimeMicros latency, int request_type,
+                        int client_class) override;
+
   TimeMicros slo_latency() const {
     return static_cast<TimeMicros>(static_cast<double>(baseline_p99_) *
                                    (1.0 + config_.slo_latency_increase));

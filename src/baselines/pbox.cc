@@ -7,17 +7,17 @@ namespace atropos {
 PBox::PBox(Clock* clock, ControlSurface* surface, PBoxConfig config)
     : clock_(clock), surface_(surface), config_(config), window_start_(clock->NowMicros()) {}
 
-void PBox::OnTaskRegistered(uint64_t key, bool background, bool cancellable) {
+void PBox::HandleTaskRegistered(uint64_t key, bool background, bool cancellable) {
   usage_[key];
 }
 
-void PBox::OnTaskFreed(uint64_t key) {
+void PBox::HandleTaskFreed(uint64_t key) {
   usage_.erase(key);
   wait_start_.erase(key);
   penalized_.erase(key);
 }
 
-void PBox::OnGet(uint64_t key, ResourceId resource, uint64_t amount) {
+void PBox::HandleGet(uint64_t key, ResourceId resource, uint64_t amount) {
   auto it = usage_.find(key);
   if (it == usage_.end()) {
     return;
@@ -29,7 +29,7 @@ void PBox::OnGet(uint64_t key, ResourceId resource, uint64_t amount) {
   u.held += amount;
 }
 
-void PBox::OnFree(uint64_t key, ResourceId resource, uint64_t amount) {
+void PBox::HandleFree(uint64_t key, ResourceId resource, uint64_t amount) {
   auto it = usage_.find(key);
   if (it == usage_.end()) {
     return;
@@ -42,11 +42,11 @@ void PBox::OnFree(uint64_t key, ResourceId resource, uint64_t amount) {
   }
 }
 
-void PBox::OnWaitBegin(uint64_t key, ResourceId resource) {
+void PBox::HandleWaitBegin(uint64_t key, ResourceId resource) {
   wait_start_.emplace(key, clock_->NowMicros());
 }
 
-void PBox::OnWaitEnd(uint64_t key, ResourceId resource) {
+void PBox::HandleWaitEnd(uint64_t key, ResourceId resource) {
   auto it = wait_start_.find(key);
   if (it == wait_start_.end()) {
     return;
@@ -55,11 +55,11 @@ void PBox::OnWaitEnd(uint64_t key, ResourceId resource) {
   wait_start_.erase(it);
 }
 
-void PBox::OnWaitObserved(uint64_t key, ResourceId resource, TimeMicros waited) {
+void PBox::HandleWaitObserved(uint64_t key, ResourceId resource, TimeMicros waited) {
   window_wait_[resource] += waited;
 }
 
-void PBox::OnHoldObserved(uint64_t key, ResourceId resource, TimeMicros used) {
+void PBox::HandleHoldObserved(uint64_t key, ResourceId resource, TimeMicros used) {
   auto it = usage_.find(key);
   if (it == usage_.end()) {
     return;

@@ -23,7 +23,7 @@ bool Protego::AdmitRequest(uint64_t key, int request_type, int client_class) {
   return true;
 }
 
-void Protego::OnRequestStart(uint64_t key, int request_type, int client_class) {
+void Protego::HandleRequestStart(uint64_t key, int request_type, int client_class) {
   if (client_class != 0) {
     client_class_[key] = client_class;
   }
@@ -44,14 +44,14 @@ bool Protego::IsLockLike(ResourceId resource) const {
   return it->second == ResourceClass::kLock;
 }
 
-void Protego::OnWaitBegin(uint64_t key, ResourceId resource) {
+void Protego::HandleWaitBegin(uint64_t key, ResourceId resource) {
   if (!IsLockLike(resource)) {
     return;
   }
   waiting_.emplace(key, clock_->NowMicros());
 }
 
-void Protego::OnWaitEnd(uint64_t key, ResourceId resource) {
+void Protego::HandleWaitEnd(uint64_t key, ResourceId resource) {
   if (!IsLockLike(resource)) {
     return;
   }
@@ -63,15 +63,15 @@ void Protego::OnWaitEnd(uint64_t key, ResourceId resource) {
   waiting_.erase(it);
 }
 
-void Protego::OnWaitObserved(uint64_t key, ResourceId resource, TimeMicros waited) {
+void Protego::HandleWaitObserved(uint64_t key, ResourceId resource, TimeMicros waited) {
   if (!IsLockLike(resource)) {
     return;
   }
   lock_delay_[key] += waited;
 }
 
-void Protego::OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                           int client_class) {
+void Protego::HandleRequestEnd(uint64_t key, TimeMicros latency, int request_type,
+                               int client_class) {
   if (client_class == 0) {
     window_latency_.Record(latency);
     window_completions_++;
@@ -79,7 +79,7 @@ void Protego::OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
   lock_delay_.erase(key);
 }
 
-void Protego::OnTaskFreed(uint64_t key) {
+void Protego::HandleTaskFreed(uint64_t key) {
   waiting_.erase(key);
   lock_delay_.erase(key);
   client_class_.erase(key);
@@ -136,7 +136,7 @@ void Protego::Tick() {
   }
   // Requests not waiting right now can still be past the threshold on
   // accumulated delay alone — closed brackets and after-the-fact
-  // OnWaitObserved reports land here.
+  // HandleWaitObserved reports land here.
   for (const auto& [key, acc] : lock_delay_) {
     if (waiting_.count(key) != 0 || client_class_.count(key) != 0) {
       continue;

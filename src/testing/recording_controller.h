@@ -21,33 +21,6 @@ class RecordingController : public OverloadController {
 
   std::string_view name() const override { return "recording"; }
 
-  void OnTaskRegistered(uint64_t key, bool background, bool cancellable) override {
-    events.push_back({"register", key, 0, background ? 1u : 0u});
-  }
-  void OnTaskFreed(uint64_t key) override { events.push_back({"free_task", key, 0, 0}); }
-  void OnGet(uint64_t key, ResourceId resource, uint64_t amount) override {
-    events.push_back({"get", key, resource, amount});
-  }
-  void OnFree(uint64_t key, ResourceId resource, uint64_t amount) override {
-    events.push_back({"free", key, resource, amount});
-  }
-  void OnWaitBegin(uint64_t key, ResourceId resource) override {
-    events.push_back({"wait_begin", key, resource, 0});
-  }
-  void OnWaitEnd(uint64_t key, ResourceId resource) override {
-    events.push_back({"wait_end", key, resource, 0});
-  }
-  void OnProgress(uint64_t key, uint64_t done, uint64_t total) override {
-    events.push_back({"progress", key, 0, done});
-  }
-  void OnRequestStart(uint64_t key, int request_type, int client_class) override {
-    events.push_back({"request_start", key, 0, static_cast<uint64_t>(request_type)});
-  }
-  void OnRequestEnd(uint64_t key, TimeMicros latency, int request_type,
-                    int client_class) override {
-    events.push_back({"request_end", key, 0, latency});
-  }
-
   int Count(const std::string& kind) const {
     int n = 0;
     for (const Event& e : events) {
@@ -79,6 +52,34 @@ class RecordingController : public OverloadController {
   }
 
   std::vector<Event> events;
+
+ protected:
+  void HandleTaskRegistered(uint64_t key, bool background, bool cancellable) override {
+    events.push_back({"register", key, 0, background ? 1u : 0u});
+  }
+  void HandleTaskFreed(uint64_t key) override { events.push_back({"free_task", key, 0, 0}); }
+  void HandleGet(uint64_t key, ResourceId resource, uint64_t amount) override {
+    events.push_back({"get", key, resource, amount});
+  }
+  void HandleFree(uint64_t key, ResourceId resource, uint64_t amount) override {
+    events.push_back({"free", key, resource, amount});
+  }
+  void HandleWaitBegin(uint64_t key, ResourceId resource) override {
+    events.push_back({"wait_begin", key, resource, 0});
+  }
+  void HandleWaitEnd(uint64_t key, ResourceId resource) override {
+    events.push_back({"wait_end", key, resource, 0});
+  }
+  void HandleProgress(uint64_t key, uint64_t done, uint64_t total) override {
+    events.push_back({"progress", key, 0, done});
+  }
+  void HandleRequestStart(uint64_t key, int request_type, int client_class) override {
+    events.push_back({"request_start", key, 0, static_cast<uint64_t>(request_type)});
+  }
+  void HandleRequestEnd(uint64_t key, TimeMicros latency, int request_type,
+                        int client_class) override {
+    events.push_back({"request_end", key, 0, latency});
+  }
 };
 
 }  // namespace atropos

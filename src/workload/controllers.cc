@@ -41,13 +41,10 @@ std::unique_ptr<AtroposRuntime> MakeAtropos(Clock* clock, ControlSurface* surfac
   // than the frontend's retry deadline, so heavyweight culprits re-execute
   // only into genuinely idle periods (or are dropped).
   config.reexec_calm_windows = 60;
-  // The Fig-13 ablation variants differ only in the injected SelectionPolicy
-  // stage; detection and estimation are the paper's pipeline in all three.
-  DecisionPipeline pipeline;
-  pipeline.detection = std::make_unique<BreakwaterDetectionStage>(config);
-  pipeline.estimation = std::make_unique<GainEstimationStage>(config);
-  pipeline.selection = DecisionPipeline::MakeSelectionPolicy(policy);
-  auto runtime = std::make_unique<AtroposRuntime>(clock, config, std::move(pipeline));
+  // The Fig-13 ablation variants differ only in config.policy, which picks
+  // the default pipeline's SelectionPolicy stage; detection and estimation
+  // are the paper's pipeline in all three.
+  auto runtime = std::make_unique<AtroposRuntime>(clock, config);
   runtime->SetControlSurface(surface);
   return runtime;
 }

@@ -7,9 +7,11 @@
 #include <thread>
 #include <vector>
 
+#include "src/atropos/runtime_group.h"
 #include "src/obs/export.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
+#include "src/testing/audit_controller.h"
 
 namespace atropos {
 namespace {
@@ -76,78 +78,6 @@ std::vector<ScriptOp> ConvoyScript(ResourceId lock) {
   return script;
 }
 
-// Applies one scripted call directly to a bare runtime — the single-threaded
-// reference the concurrent pipeline must be indistinguishable from.
-void ApplyDirect(AtroposRuntime& rt, const TraceEvent& ev) {
-  switch (ev.kind) {
-    case TraceEventKind::kTaskRegistered:
-      rt.OnTaskRegistered(ev.key, ev.background, ev.cancellable);
-      break;
-    case TraceEventKind::kTaskFreed:
-      rt.OnTaskFreed(ev.key);
-      break;
-    case TraceEventKind::kGet:
-      rt.OnGet(ev.key, ev.resource, ev.a);
-      break;
-    case TraceEventKind::kFree:
-      rt.OnFree(ev.key, ev.resource, ev.a);
-      break;
-    case TraceEventKind::kWaitBegin:
-      rt.OnWaitBegin(ev.key, ev.resource);
-      break;
-    case TraceEventKind::kWaitEnd:
-      rt.OnWaitEnd(ev.key, ev.resource);
-      break;
-    case TraceEventKind::kRequestStart:
-      rt.OnRequestStart(ev.key, ev.request_type, ev.client_class);
-      break;
-    case TraceEventKind::kRequestEnd:
-      rt.OnRequestEnd(ev.key, ev.a, ev.request_type, ev.client_class);
-      break;
-    case TraceEventKind::kUsage:
-      rt.OnUsage(ev.key, ev.resource, ev.a, ev.b);
-      break;
-    case TraceEventKind::kProgress:
-      rt.OnProgress(ev.key, ev.a, ev.b);
-      break;
-  }
-}
-
-void ApplyViaProducer(ConcurrentFrontend::Producer* p, const TraceEvent& ev) {
-  switch (ev.kind) {
-    case TraceEventKind::kTaskRegistered:
-      p->OnTaskRegistered(ev.key, ev.background, ev.cancellable);
-      break;
-    case TraceEventKind::kTaskFreed:
-      p->OnTaskFreed(ev.key);
-      break;
-    case TraceEventKind::kGet:
-      p->OnGet(ev.key, ev.resource, ev.a);
-      break;
-    case TraceEventKind::kFree:
-      p->OnFree(ev.key, ev.resource, ev.a);
-      break;
-    case TraceEventKind::kWaitBegin:
-      p->OnWaitBegin(ev.key, ev.resource);
-      break;
-    case TraceEventKind::kWaitEnd:
-      p->OnWaitEnd(ev.key, ev.resource);
-      break;
-    case TraceEventKind::kRequestStart:
-      p->OnRequestStart(ev.key, ev.request_type, ev.client_class);
-      break;
-    case TraceEventKind::kRequestEnd:
-      p->OnRequestEnd(ev.key, ev.a, ev.request_type, ev.client_class);
-      break;
-    case TraceEventKind::kUsage:
-      p->OnUsage(ev.key, ev.resource, ev.a, ev.b);
-      break;
-    case TraceEventKind::kProgress:
-      p->OnProgress(ev.key, ev.a, ev.b);
-      break;
-  }
-}
-
 // The tentpole property: draining N producers' rings produces decisions
 // byte-for-byte identical (on the flight-recorder JSONL) to feeding the same
 // events to a bare AtroposRuntime in timestamp order. Covers ring merge
@@ -178,7 +108,7 @@ TEST(ConcurrentFrontendDeterminism, DrainedDecisionsMatchDirectFeeding) {
     const TimeMicros tick_at = w * kTick;
     while (next < script.size() && script[next].ev.time < tick_at) {
       clock_a.SetTime(script[next].ev.time);
-      ApplyViaProducer(producers[script[next].producer], script[next].ev);
+      producers[script[next].producer]->Push(script[next].ev);
       next++;
     }
     clock_a.SetTime(tick_at);
@@ -205,7 +135,7 @@ TEST(ConcurrentFrontendDeterminism, DrainedDecisionsMatchDirectFeeding) {
     const TimeMicros tick_at = w * kTick;
     while (next < sorted.size() && sorted[next].ev.time < tick_at) {
       clock_b.SetTime(sorted[next].ev.time);
-      ApplyDirect(runtime, sorted[next].ev);
+      runtime.Apply(sorted[next].ev);
       next++;
     }
     clock_b.SetTime(tick_at);
@@ -230,6 +160,127 @@ TEST(ConcurrentFrontendDeterminism, DrainedDecisionsMatchDirectFeeding) {
   EXPECT_EQ(frontend.intake_stats().dropped_total, 0u);
 }
 
+// Every forwarding controller passes the event stream on unchanged: the
+// scripted convoy applied directly to a runtime, through a one-shard
+// RuntimeGroup, and through an AuditController ends in the same books and
+// the same decisions.
+TEST(ForwarderEquivalence, DirectGroupAndAuditEndInTheSameBooks) {
+  const TimeMicros kTick = Millis(100);
+  const int kWindows = 4;
+  const std::vector<uint64_t> kKeys = {100, 200, 201, 9999};
+
+  ManualClock clock_direct(0);
+  AtroposRuntime direct(&clock_direct, TestConfig());
+  ManualClock clock_group(0);
+  RuntimeGroup group(&clock_group, TestConfig(), 1);
+  ManualClock clock_audit(0);
+  AtroposRuntime audited(&clock_audit, TestConfig());
+  AuditController audit(audited);
+
+  struct Path {
+    ManualClock* clock;
+    OverloadController* controller;
+    AtroposRuntime* runtime;  // the books the path ends in
+    int cancels = 0;
+    uint64_t last_cancelled = 0;
+    FlightRecorder recorder;
+  };
+  std::vector<Path> paths(3);
+  paths[0].clock = &clock_direct;
+  paths[0].controller = paths[0].runtime = &direct;
+  paths[1].clock = &clock_group;
+  paths[1].controller = &group;
+  paths[1].runtime = &group.shard(0);
+  paths[2].clock = &clock_audit;
+  paths[2].controller = &audit;
+  paths[2].runtime = &audited;
+  ResourceId lock = kInvalidResourceId;
+  for (Path& path : paths) {
+    lock = path.controller->RegisterResource("table_lock", ResourceClass::kLock);
+    path.runtime->SetRecorder(&path.recorder);
+    Path* p = &path;
+    path.runtime->SetCancelAction([p](uint64_t key) {
+      p->cancels++;
+      p->last_cancelled = key;
+    });
+  }
+
+  const std::vector<ScriptOp> script = ConvoyScript(lock);
+  for (Path& path : paths) {
+    size_t next = 0;
+    for (int w = 1; w <= kWindows; w++) {
+      const TimeMicros tick_at = w * kTick;
+      while (next < script.size() && script[next].ev.time < tick_at) {
+        path.clock->SetTime(script[next].ev.time);
+        path.controller->Apply(script[next].ev);
+        next++;
+      }
+      path.clock->SetTime(tick_at);
+      path.controller->Tick();
+    }
+    ASSERT_EQ(next, script.size());
+  }
+
+  const Path& ref = paths[0];
+  // The comparison must cover a decision and non-empty books.
+  ASSERT_EQ(ref.cancels, 1);
+  ASSERT_EQ(ref.last_cancelled, 100u);
+  ASSERT_NE(ref.runtime->FindUsage(100, lock), nullptr);
+  ASSERT_NE(ref.runtime->FindUsage(201, lock), nullptr);
+  for (size_t i = 1; i < paths.size(); i++) {
+    const Path& path = paths[i];
+    SCOPED_TRACE(path.controller->name());
+    EXPECT_EQ(path.cancels, ref.cancels);
+    EXPECT_EQ(path.last_cancelled, ref.last_cancelled);
+    EXPECT_EQ(EventsToJsonl(path.recorder.Snapshot()), EventsToJsonl(ref.recorder.Snapshot()));
+
+    const AtroposStats& want = ref.runtime->stats();
+    const AtroposStats& got = path.runtime->stats();
+    EXPECT_EQ(got.trace_events, want.trace_events);
+    EXPECT_EQ(got.ignored_events, want.ignored_events);
+
+    const std::vector<ResourceAudit> want_audit = ref.runtime->AuditAccounting();
+    const std::vector<ResourceAudit> got_audit = path.runtime->AuditAccounting();
+    ASSERT_EQ(got_audit.size(), want_audit.size());
+    for (size_t r = 0; r < want_audit.size(); r++) {
+      EXPECT_EQ(got_audit[r].id, want_audit[r].id);
+      EXPECT_EQ(got_audit[r].acquired, want_audit[r].acquired);
+      EXPECT_EQ(got_audit[r].released, want_audit[r].released);
+      EXPECT_EQ(got_audit[r].leaked, want_audit[r].leaked);
+      EXPECT_EQ(got_audit[r].overfreed, want_audit[r].overfreed);
+      EXPECT_EQ(got_audit[r].live_held, want_audit[r].live_held);
+    }
+
+    for (uint64_t key : kKeys) {
+      SCOPED_TRACE(key);
+      const TaskRecord* want_t = ref.runtime->FindTask(key);
+      const TaskRecord* got_t = path.runtime->FindTask(key);
+      ASSERT_EQ(got_t == nullptr, want_t == nullptr);
+      if (want_t != nullptr) {
+        EXPECT_EQ(got_t->cancellable, want_t->cancellable);
+        EXPECT_EQ(got_t->has_progress, want_t->has_progress);
+        EXPECT_EQ(got_t->progress_done, want_t->progress_done);
+        EXPECT_EQ(got_t->progress_total, want_t->progress_total);
+      }
+      const TaskResourceUsage* want_u = ref.runtime->FindUsage(key, lock);
+      const TaskResourceUsage* got_u = path.runtime->FindUsage(key, lock);
+      ASSERT_EQ(got_u == nullptr, want_u == nullptr);
+      if (want_u == nullptr) {
+        continue;
+      }
+      EXPECT_EQ(got_u->acquired, want_u->acquired);
+      EXPECT_EQ(got_u->released, want_u->released);
+      EXPECT_EQ(got_u->slow_events, want_u->slow_events);
+      EXPECT_EQ(got_u->wait_time, want_u->wait_time);
+      EXPECT_EQ(got_u->hold_time, want_u->hold_time);
+      EXPECT_EQ(got_u->active_units, want_u->active_units);
+      EXPECT_EQ(got_u->waiting, want_u->waiting);
+    }
+  }
+  // The audit shadowed what it forwarded.
+  EXPECT_EQ(audit.epochs().size(), 3u);
+}
+
 // Ring overflow is lossy-with-counter: a full ring drops the event, counts
 // it, and the drain/gauge accounting reconciles drops against drains.
 TEST(ConcurrentFrontendTest, RingOverflowDropsAreCounted) {
@@ -242,10 +293,10 @@ TEST(ConcurrentFrontendTest, RingOverflowDropsAreCounted) {
   frontend.BindMetrics(&metrics);
 
   ConcurrentFrontend::Producer* p = frontend.RegisterProducer();
-  p->OnTaskRegistered(1, false);
+  p->Push({.key = 1, .kind = TraceEventKind::kTaskRegistered});
   for (int i = 0; i < 19; i++) {
     clock.Advance(10);
-    p->OnGet(1, lock, 1);
+    p->Push({.key = 1, .a = 1, .resource = lock, .kind = TraceEventKind::kGet});
   }
   EXPECT_EQ(p->dropped(), 12u);  // 20 pushes into an 8-slot ring
 
@@ -397,13 +448,15 @@ TEST(ConcurrentFrontendStress, ExplicitProducerHandleSurvivesTicks) {
   ResourceId lock = frontend.RegisterResource("l", ResourceClass::kLock);
 
   ConcurrentFrontend::Producer* p = frontend.RegisterProducer();
-  std::thread worker([&] { p->OnGet(7, lock, 1); });
+  std::thread worker(
+      [&] { p->Push({.key = 7, .a = 1, .resource = lock, .kind = TraceEventKind::kGet}); });
   worker.join();
   frontend.Tick();
   EXPECT_EQ(frontend.live_producer_count(), 1u);
 
   // The handle is still usable from another thread after the first exited.
-  std::thread worker2([&] { p->OnFree(7, lock, 1); });
+  std::thread worker2(
+      [&] { p->Push({.key = 7, .a = 1, .resource = lock, .kind = TraceEventKind::kFree}); });
   worker2.join();
   frontend.Tick();
   EXPECT_EQ(frontend.intake_stats().drained_total, 2u);

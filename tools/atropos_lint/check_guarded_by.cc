@@ -11,7 +11,7 @@
 //     function bodies (bare `member` or `this->member`; accesses through
 //     other objects are out of token-level reach) must occur with `mu` held:
 //     lexically inside a scope guard's block (std::lock_guard / unique_lock /
-//     scoped_lock / shared_lock / MalthusianLockGuard), after a bare
+//     scoped_lock / shared_lock), after a bare
 //     `.lock()` without a matching `.unlock()`, or inside a function
 //     annotated ATROPOS_REQUIRES(mu).
 //   - Every call that the cross-file call graph resolves to a function
@@ -58,12 +58,6 @@ bool IsRequiresMacro(const std::string& s) {
 bool IsSkipMacro(const std::string& s) {
   return s == "ATROPOS_ACQUIRE" || s == "ATROPOS_RELEASE" || s == "ATROPOS_TRY_ACQUIRE" ||
          s == "ATROPOS_NO_THREAD_SAFETY_ANALYSIS" || s == "ATROPOS_SCOPED_CAPABILITY";
-}
-
-// Guard types whose constructor acquires: the std guards plus this repo's
-// Malthusian intake guard.
-bool IsAcquiringGuardType(const std::string& s) {
-  return IsStdGuardType(s) || s == "MalthusianLockGuard";
 }
 
 size_t BackwardMatchingOpenParen(const std::vector<Token>& toks, size_t from) {
@@ -258,7 +252,7 @@ class GuardedByCheck final : public Check {
         continue;
       }
 
-      if (IsAcquiringGuardType(t.text)) {
+      if (IsStdGuardType(t.text)) {
         size_t j = SkipTemplateArgs(toks, i + 1, fn.body_end);
         if (toks[j].kind == TokenKind::kIdentifier && toks[j + 1].IsPunct("(")) {
           for (std::string& m : SplitLockArgs(toks, j + 1, fn.body_end)) {
