@@ -19,6 +19,10 @@
 //               reported explicitly; events_per_second here measures raw
 //               producer-side push cost, not delivered throughput.
 //
+// Each row also reports drain_ns_per_event: the drainer's summed Tick()
+// time divided by the events it drained — the consumer-side cost of the
+// in-place merge and replay, including the ticks that found the rings empty.
+//
 // The acceptance bar from the intake design is >=4x aggregate loss-free
 // throughput at 8 producers vs 1 — only meaningful on a machine with >=8
 // cores, so the bench prints the core count it actually had and marks the
@@ -64,6 +68,7 @@ struct RunResult {
   uint64_t pushed = 0;     // events that reached a ring (delivered)
   uint64_t attempted = 0;  // events the producers tried to push
   uint64_t dropped = 0;    // ring-overflow losses (saturation mode only)
+  double drain_seconds = 0;  // summed wall time of the drainer's Tick() calls
 };
 
 // Pushes `events` trace calls from `threads` producer threads through the
@@ -84,12 +89,18 @@ RunResult RunOnce(int threads, uint64_t events, size_t ring_capacity, bool loss_
   std::atomic<bool> go{false};
   std::atomic<bool> stop_drainer{false};
 
+  double drain_seconds = 0;
   std::thread drainer([&] {
-    while (!stop_drainer.load(std::memory_order_acquire)) {
+    auto timed_tick = [&] {
+      const auto t0 = std::chrono::steady_clock::now();
       frontend.Tick();
+      drain_seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    };
+    while (!stop_drainer.load(std::memory_order_acquire)) {
+      timed_tick();
       std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
-    frontend.Tick();  // final sweep so `drained + dropped == pushed`
+    timed_tick();  // final sweep so `drained + dropped == pushed`
   });
 
   std::vector<std::thread> producers;
@@ -160,6 +171,7 @@ RunResult RunOnce(int threads, uint64_t events, size_t ring_capacity, bool loss_
   r.pushed = intake.drained_total;
   r.dropped = intake.dropped_total;
   r.attempted = intake.drained_total + intake.dropped_total;
+  r.drain_seconds = drain_seconds;
   return r;
 }
 
@@ -193,13 +205,14 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(opt.events), opt.ring_capacity, cores);
 
   TextTable table({"producers", "mode", "delivered", "wall_ms", "Mev/s", "ns/event", "speedup",
-                   "drop_rate"});
+                   "drop_rate", "drain_ns/event"});
   struct Row {
     int threads;
     bool loss_free;
     RunResult r;
     double throughput;   // delivered events / wall second
     double ns_per_event;
+    double drain_ns_per_event;
     double drop_rate;
     double speedup;
   };
@@ -221,6 +234,8 @@ int Main(int argc, char** argv) {
       const uint64_t moved = loss_free ? r.pushed : r.attempted;
       const double throughput = static_cast<double>(moved) / r.wall_seconds;
       const double ns_per_event = moved > 0 ? r.wall_seconds * 1e9 / static_cast<double>(moved) : 0;
+      const double drain_ns_per_event =
+          r.pushed > 0 ? r.drain_seconds * 1e9 / static_cast<double>(r.pushed) : 0;
       const double drop_rate =
           loss_free ? 0.0
                     : (r.attempted > 0
@@ -237,12 +252,13 @@ int Main(int argc, char** argv) {
           speedup_at_8 = speedup;
         }
       }
-      rows.push_back({threads, loss_free, r, throughput, ns_per_event, drop_rate, speedup});
+      rows.push_back(
+          {threads, loss_free, r, throughput, ns_per_event, drain_ns_per_event, drop_rate, speedup});
       table.AddRow({std::to_string(threads), loss_free ? "loss-free" : "saturate",
                     std::to_string(moved), TextTable::Num(r.wall_seconds * 1e3),
                     TextTable::Num(throughput / 1e6), TextTable::Num(ns_per_event, 1),
                     loss_free ? TextTable::Num(speedup) + "x" : "-",
-                    TextTable::Pct(drop_rate)});
+                    TextTable::Pct(drop_rate), TextTable::Num(drain_ns_per_event, 1)});
     }
   }
   std::printf("%s\n", table.Render().c_str());
@@ -267,6 +283,7 @@ int Main(int argc, char** argv) {
       json.Field("wall_seconds", row.r.wall_seconds);
       json.Field("events_per_second", row.throughput);
       json.Field("ns_per_event", row.ns_per_event);
+      json.Field("drain_ns_per_event", row.drain_ns_per_event);
       json.Field("speedup_vs_1", row.speedup);
       json.EndObject();
     }

@@ -1,21 +1,14 @@
 #include "src/atropos/concurrent_frontend.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
+#include <limits>
 #include <mutex>
 #include <unordered_map>
 
 namespace atropos {
 
 namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
 
 std::atomic<uint64_t> g_next_frontend_id{1};
 
@@ -61,7 +54,7 @@ struct CapturedTlsBindings {
 
 // ---- EventRing -------------------------------------------------------------
 
-EventRing::EventRing(size_t capacity) : slots_(RoundUpPow2(std::max<size_t>(capacity, 2))) {
+EventRing::EventRing(size_t capacity) : slots_(std::bit_ceil(std::max<size_t>(capacity, 2))) {
   mask_ = slots_.size() - 1;
 }
 
@@ -78,27 +71,6 @@ bool EventRing::Push(const TraceEvent& ev, TimeMicros time) {
   slot.time = time;
   tail_.store(tail + 1, std::memory_order_release);
   return true;
-}
-
-size_t EventRing::PopBatch(TraceEvent* out, size_t max) {
-  const uint64_t head = head_.load(std::memory_order_relaxed);
-  const uint64_t tail = tail_.load(std::memory_order_acquire);
-  const size_t n = std::min(static_cast<size_t>(tail - head), max);
-  if (n == 0) {
-    return 0;
-  }
-  // Slots in [head, head + n) were published by the release store of tail_,
-  // so after the acquire load above they are plain memory: copy them in at
-  // most two contiguous spans (the ring may wrap) and retire them with a
-  // single release store of head_.
-  const size_t start = static_cast<size_t>(head & mask_);
-  const size_t first = std::min(n, slots_.size() - start);
-  std::memcpy(out, slots_.data() + start, first * sizeof(TraceEvent));
-  if (n > first) {
-    std::memcpy(out + first, slots_.data(), (n - first) * sizeof(TraceEvent));
-  }
-  head_.store(head + n, std::memory_order_release);
-  return n;
 }
 
 // ---- Producer --------------------------------------------------------------
@@ -173,74 +145,93 @@ void ConcurrentFrontend::BindMetrics(MetricsRegistry* metrics) {
   producers_gauge_ = metrics->GetGauge("intake.producers");
 }
 
+// atropos-lint: alloc-free
+uint64_t ConcurrentFrontend::ReplayMerged() {
+  uint64_t applied = 0;
+  while (!cursors_.empty()) {
+    // The ring whose head sorts first by (stamp, registration order), and the
+    // head that sorts second, which bounds the run taken from the first.
+    const size_t n = cursors_.size();
+    size_t first = 0;
+    size_t second = n;
+    TimeMicros first_time = cursors_[0].ring->At(cursors_[0].next).time;
+    TimeMicros second_time = std::numeric_limits<TimeMicros>::max();
+    for (size_t i = 1; i < n; i++) {
+      const TimeMicros t = cursors_[i].ring->At(cursors_[i].next).time;
+      if (t < first_time) {
+        second = first;
+        second_time = first_time;
+        first = i;
+        first_time = t;
+      } else if (second == n || t < second_time) {
+        second = i;
+        second_time = t;
+      }
+    }
+    // Ties at the bound go to the earlier-registered producer.
+    EventRing::Cursor& c = cursors_[first];
+    const bool takes_ties = first < second;
+    TimeMicros t = first_time;
+    do {
+      const TraceEvent& ev = c.ring->At(c.next++);
+      replay_clock_.BeginReplay(ev.time);
+      runtime_.Apply(ev);
+      applied++;
+    } while (c.next != c.end && ((t = c.ring->At(c.next).time) < second_time ||
+                                 (t == second_time && takes_ties)));
+    if (c.next == c.end) {
+      c.ring->Release(c.end);
+      cursors_.erase(cursors_.begin() + static_cast<std::ptrdiff_t>(first));
+    }
+  }
+  return applied;
+}
+
 void ConcurrentFrontend::Tick() {
-  drain_buf_.clear();
-  uint64_t max_depth = 0;
-  uint64_t dropped = 0;
-  size_t producer_count = 0;
-  uint64_t seen = 0;
-  uint64_t retired_count = 0;
+  intake_.max_ring_depth = 0;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
+    uint64_t dropped = 0;
     size_t keep = 0;
-    for (size_t i = 0; i < producers_.size(); i++) {
-      std::unique_ptr<Producer>& p = producers_[i];
-      // Retirement is observed *before* draining: the owning thread's last
-      // Push happens-before its TLS destructor's release store, so seeing
-      // retired==true here guarantees this drain empties the ring for good.
-      // A flip to retired *after* this load is deliberately ignored until
-      // the next Tick — removing on a post-drain observation could free a
-      // ring that still holds events pushed just before the exit.
+    for (std::unique_ptr<Producer>& p : producers_) {
+      // Retirement is observed *before* the snapshot: the owning thread's
+      // last Push happens-before its TLS destructor's release store, so a
+      // retired ring's snapshot holds everything it will ever hold. A later
+      // flip waits for the next Tick: this snapshot may miss events pushed
+      // just before the exit.
       const bool retired = p->retired_.load(std::memory_order_acquire);
-      const size_t before = drain_buf_.size();
-      // Batched drain: each PopBatch is one acquire/release pair and at most
-      // two memcpy spans, instead of a fence pair per event.
-      constexpr size_t kChunk = 256;
-      TraceEvent chunk[kChunk];
-      size_t n;
-      while ((n = p->ring_.PopBatch(chunk, kChunk)) > 0) {
-        drain_buf_.insert(drain_buf_.end(), chunk, chunk + n);
+      const EventRing::Cursor snapshot = p->ring_.Snapshot();
+      intake_.max_ring_depth = std::max(intake_.max_ring_depth, snapshot.end - snapshot.next);
+      if (snapshot.next != snapshot.end) {
+        cursors_.push_back(snapshot);
       }
-      max_depth = std::max<uint64_t>(max_depth, drain_buf_.size() - before);
       if (retired) {
         retired_dropped_ += p->ring_.dropped();
         producers_retired_++;
+        retiring_.push_back(std::move(p));
       } else {
         dropped += p->ring_.dropped();
         producers_[keep++] = std::move(p);
       }
     }
     producers_.resize(keep);
-    dropped += retired_dropped_;
-    producer_count = producers_.size();
-    seen = producers_seen_;
-    retired_count = producers_retired_;
+    intake_.dropped_total = dropped + retired_dropped_;
+    intake_.producers = keep;
+    intake_.producers_seen = producers_seen_;
+    intake_.producers_retired = producers_retired_;
   }
 
-  // Stable merge: rings are FIFO with per-ring monotone stamps, so a stable
-  // sort by time yields global timestamp order with ties broken by producer
-  // registration order — the same deterministic order the determinism test
-  // feeds a bare runtime in.
-  std::stable_sort(drain_buf_.begin(), drain_buf_.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.time < b.time; });
-  for (const TraceEvent& ev : drain_buf_) {
-    replay_clock_.BeginReplay(ev.time);
-    runtime_.Apply(ev);
-  }
+  // Only this thread frees producers, so the snapshot rings stay valid
+  // outside the lock; retired ones are freed once the replay has read them.
+  intake_.drained_last_tick = ReplayMerged();
+  intake_.drained_total += intake_.drained_last_tick;
   replay_clock_.EndReplay();
-
-  intake_.drained_last_tick = drain_buf_.size();
-  intake_.drained_total += drain_buf_.size();
-  intake_.dropped_total = dropped;
-  intake_.max_ring_depth = max_depth;
-  intake_.producers = producer_count;
-  intake_.producers_seen = seen;
-  intake_.producers_retired = retired_count;
+  retiring_.clear();
   if (ring_depth_gauge_ != nullptr) {
-    ring_depth_gauge_->Set(static_cast<double>(max_depth));
+    ring_depth_gauge_->Set(static_cast<double>(intake_.max_ring_depth));
     drained_gauge_->Set(static_cast<double>(intake_.drained_last_tick));
-    dropped_gauge_->Set(static_cast<double>(dropped));
-    producers_gauge_->Set(static_cast<double>(producer_count));
+    dropped_gauge_->Set(static_cast<double>(intake_.dropped_total));
+    producers_gauge_->Set(static_cast<double>(intake_.producers));
   }
 
   runtime_.Tick();

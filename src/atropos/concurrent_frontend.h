@@ -10,7 +10,7 @@
 // ConcurrentFrontend bridges the two worlds:
 //
 //   app thread 1 ──► EventRing (SPSC) ─┐
-//   app thread 2 ──► EventRing (SPSC) ─┼─► Tick(): merge by timestamp,
+//   app thread 2 ──► EventRing (SPSC) ─┼─► Tick(): merge in place by time,
 //   app thread N ──► EventRing (SPSC) ─┘   replay into AtroposRuntime,
 //                                          then run the control loop
 //
@@ -29,10 +29,15 @@
 // event through a ReplayClock that presents the enqueue-time clock reading
 // to the runtime, so wait/hold attribution and the §3.2 sampled/per-event
 // timestamp semantics are exactly those of an application that had called
-// the runtime directly at the moment the event happened. Drain order is a
-// stable timestamp merge across rings, which makes the pipeline
-// deterministic: the same events produce byte-for-byte the same decision
-// stream as single-threaded feeding (proved by concurrent_frontend_test).
+// the runtime directly at the moment the event happened. Tick() snapshots
+// every ring and replays the events where they lie, in one k-way merge by
+// (stamp, producer registration order, FIFO); no event is copied or sorted,
+// and a ring's snapshot slots stay held until the merge has read them all.
+// The merge order is a stable timestamp sort — precondition: the frontend's
+// clock is monotone, so each ring is already in stamp order — which makes
+// the pipeline deterministic: the same events produce byte-for-byte the same
+// decision stream as single-threaded feeding (proved by
+// concurrent_frontend_test).
 //
 // Threading contract:
 //   - Instrumentation hooks (On* / Apply): any thread; each calling thread is
@@ -70,7 +75,7 @@
 namespace atropos {
 
 // Fixed-capacity single-producer/single-consumer ring. Push is producer-
-// thread-only, PopBatch consumer-thread-only; the two sides synchronize
+// thread-only, the rest consumer-thread-only; the two sides synchronize
 // through the head/tail indices (release on publish, acquire on read). A full
 // ring drops the event and counts it — producers never block.
 class EventRing {
@@ -81,14 +86,25 @@ class EventRing {
   // counts the drop) when full.
   bool Push(const TraceEvent& ev, TimeMicros time);
 
-  // Consumer side, batched: pops up to `max` events into `out`, returning the
-  // number popped. One acquire load of the published tail and at most two
-  // memcpy spans (wrap-around), then a single release store of the head.
-  size_t PopBatch(TraceEvent* out, size_t max);
+  // Consumer side, in place: Snapshot() is a cursor over the published range
+  // [next, end), At(i) reads index i in its slot, Release(head) frees the
+  // slots before `head`.
+  struct Cursor {
+    EventRing* ring;
+    uint64_t next;
+    uint64_t end;
+  };
+  // atropos-lint: alloc-free
+  Cursor Snapshot() {
+    return {this, head_.load(std::memory_order_relaxed), tail_.load(std::memory_order_acquire)};
+  }
+  // atropos-lint: alloc-free
+  const TraceEvent& At(uint64_t i) const { return slots_[i & mask_]; }
+  // atropos-lint: alloc-free
+  void Release(uint64_t head) { head_.store(head, std::memory_order_release); }
 
   // Racy-but-monotone observation, safe from any thread.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  size_t capacity() const { return slots_.size(); }
 
  private:
   std::vector<TraceEvent> slots_;
@@ -128,6 +144,8 @@ class ConcurrentFrontend final : public OverloadController {
   struct Options {
     // Per-producer ring capacity, rounded up to a power of two. Sized for
     // one control window of events from one thread; overflow is counted.
+    // A Tick holds the slots it drains until its in-place replay has read
+    // them all.
     size_t ring_capacity = 1 << 14;
   };
 
@@ -182,9 +200,9 @@ class ConcurrentFrontend final : public OverloadController {
   void BindMetrics(MetricsRegistry* metrics);
 
   // ---- Drainer thread -----------------------------------------------------
-  // Drains all rings in one stable timestamp merge, replays the events into
-  // the runtime at their enqueue-time clock readings, then runs the
-  // runtime's control loop for the closing window.
+  // Snapshots every ring, replays the snapshots into the runtime in one
+  // in-place timestamp merge at their enqueue-time clock readings, releases
+  // the slots, then runs the runtime's control loop for the closing window.
   void Tick() override ATROPOS_EXCLUDES(registry_mu_);
 
   bool ReexecutionRecommended() const override {  // drainer thread only
@@ -215,6 +233,9 @@ class ConcurrentFrontend final : public OverloadController {
   friend struct CapturedTlsBindings;
 
   Producer* ThisThreadProducer() ATROPOS_EXCLUDES(registry_mu_);
+  // Replays cursors_ in merge order, releasing each ring as it empties;
+  // returns the number of events applied.
+  uint64_t ReplayMerged();
   // Called from an exiting thread's TLS destructor (under the process-wide
   // frontend registry lock, so `p` cannot be concurrently destroyed). Lock-
   // free on the frontend itself: a single release store.
@@ -235,8 +256,10 @@ class ConcurrentFrontend final : public OverloadController {
   // monotone across retirements.
   uint64_t retired_dropped_ ATROPOS_GUARDED_BY(registry_mu_) = 0;
 
-  // Drainer-thread state.
-  std::vector<TraceEvent> drain_buf_;
+  // Drainer-thread state: one cursor per non-empty ring snapshot, in
+  // registration order, and the retired producers the replay still reads.
+  std::vector<EventRing::Cursor> cursors_;
+  std::vector<std::unique_ptr<Producer>> retiring_;
   IntakeStats intake_;
   Gauge* ring_depth_gauge_ = nullptr;
   Gauge* drained_gauge_ = nullptr;

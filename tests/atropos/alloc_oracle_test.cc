@@ -20,16 +20,23 @@
 // constant number of allocations per Tick, independent of the live-task
 // count, pinned by the TickAllocations test below.
 //
+// The concurrent intake adds nothing to that: a warm ConcurrentFrontend Tick
+// allocates exactly as often as a bare runtime fed the same events, pinned by
+// the FrontendTickAllocatesLikeTheBareRuntime test below.
+//
 // Deliberately NOT inside any armed region: first-touch growth (new tasks or
 // resources beyond the high-water mark, including growth of the task arena)
 // and resource registration.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/atropos/concurrent_frontend.h"
 #include "src/atropos/ledger.h"
 #include "src/atropos/runtime.h"
 #include "src/atropos/window.h"
@@ -40,10 +47,14 @@ namespace {
 std::atomic<bool> g_armed{false};
 std::atomic<uint64_t> g_allocations{0};
 
-void* CountingAlloc(size_t size) {
+void CountAllocation() {
   if (g_armed.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void* CountingAlloc(size_t size) {
+  CountAllocation();
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -55,10 +66,14 @@ void* CountingAlloc(size_t size) {
 
 void* operator new(size_t size) { return CountingAlloc(size); }
 void* operator new[](size_t size) { return CountingAlloc(size); }
+// The nothrow forms count too: library temporaries (std::stable_sort's
+// buffer, for one) come through them.
 void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  CountAllocation();
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  CountAllocation();
   return std::malloc(size == 0 ? 1 : size);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -295,6 +310,90 @@ TEST(AllocOracleTest, TickAllocationsAreIndependentOfLiveTaskCount) {
   // objectives, the candidate list and its two matrices) plus Select's
   // skyline window.
   EXPECT_LE(small, static_cast<uint64_t>(kTicks) * 7) << "allocations per Tick grew";
+}
+
+// One window of calm traffic from `producer`: kRequests requests on recycled
+// keys, seven events each. Every producer stamps its k-th event at the same
+// microsecond, so the drain merges thousands of cross-ring ties.
+std::vector<TraceEvent> IntakeWindow(int producer, int window, ResourceId lock) {
+  constexpr int kRequests = 160;
+  const TimeMicros start = static_cast<TimeMicros>(window) * Millis(100);
+  std::vector<TraceEvent> events;
+  for (int r = 0; r < kRequests; r++) {
+    const uint64_t key = 1000 * static_cast<uint64_t>(producer + 1) + static_cast<uint64_t>(r % 16);
+    const TimeMicros t = start + static_cast<TimeMicros>(r) * 20;
+    events.push_back({.time = t, .key = key, .kind = TraceEventKind::kTaskRegistered});
+    events.push_back({.time = t + 1, .key = key, .kind = TraceEventKind::kRequestStart});
+    events.push_back(
+        {.time = t + 2, .key = key, .a = 1, .resource = lock, .kind = TraceEventKind::kGet});
+    events.push_back({.time = t + 3, .key = key, .a = 5, .b = 10, .kind = TraceEventKind::kProgress});
+    events.push_back(
+        {.time = t + 4, .key = key, .a = 1, .resource = lock, .kind = TraceEventKind::kFree});
+    events.push_back({.time = t + 5, .key = key, .a = 100, .kind = TraceEventKind::kRequestEnd});
+    events.push_back({.time = t + 6, .key = key, .kind = TraceEventKind::kTaskFreed});
+  }
+  return events;
+}
+
+TEST(AllocOracleTest, FrontendTickAllocatesLikeTheBareRuntime) {
+  constexpr int kProducers = 3;
+  constexpr int kWarm = 8;
+  constexpr int kTicks = 10;
+  AtroposConfig config;
+  config.window = Millis(100);
+  config.baseline_p99 = Millis(50);
+
+  ManualClock fe_clock(0);
+  ConcurrentFrontend fe(&fe_clock, config);
+  const ResourceId fe_lock = fe.RegisterResource("lock", ResourceClass::kLock);
+  std::vector<ConcurrentFrontend::Producer*> producers;
+  for (int p = 0; p < kProducers; p++) {
+    producers.push_back(fe.RegisterProducer());
+  }
+  ManualClock bare_clock(0);
+  AtroposRuntime bare(&bare_clock, config);
+  const ResourceId bare_lock = bare.RegisterResource("lock", ResourceClass::kLock);
+  ASSERT_EQ(fe_lock, bare_lock);
+
+  uint64_t fe_allocations = 0;
+  uint64_t bare_allocations = 0;
+  for (int w = 0; w < kWarm + kTicks; w++) {
+    const bool measured = w >= kWarm;
+    const TimeMicros tick_at = static_cast<TimeMicros>(w + 1) * Millis(100);
+    // The bare runtime gets the drain order: (stamp, producer, FIFO).
+    std::vector<TraceEvent> merged;
+    for (int p = 0; p < kProducers; p++) {
+      for (const TraceEvent& ev : IntakeWindow(p, w, fe_lock)) {
+        fe_clock.SetTime(ev.time);
+        ASSERT_TRUE(producers[static_cast<size_t>(p)]->Push(ev));
+        merged.push_back(ev);
+      }
+    }
+    std::stable_sort(merged.begin(), merged.end(),
+                     [](const TraceEvent& a, const TraceEvent& b) { return a.time < b.time; });
+    fe_clock.SetTime(tick_at);
+    {
+      AllocArmed armed;
+      fe.Tick();
+      fe_allocations += measured ? armed.count() : 0;
+    }
+    {
+      AllocArmed armed;
+      for (const TraceEvent& ev : merged) {
+        bare_clock.SetTime(ev.time);
+        bare.Apply(ev);
+      }
+      bare_clock.SetTime(tick_at);
+      bare.Tick();
+      bare_allocations += measured ? armed.count() : 0;
+    }
+    ASSERT_EQ(fe.intake_stats().drained_last_tick, merged.size());
+    ASSERT_GE(merged.size(), 3000u);
+  }
+  EXPECT_EQ(fe_allocations, bare_allocations)
+      << "a warm frontend Tick allocates beyond the runtime it feeds";
+  EXPECT_EQ(fe.runtime().stats().trace_events, bare.stats().trace_events);
+  EXPECT_EQ(fe.runtime().live_task_count(), 0u);
 }
 
 }  // namespace

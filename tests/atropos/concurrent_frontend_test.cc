@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/atropos/runtime_group.h"
+#include "src/common/rng.h"
 #include "src/obs/export.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
@@ -76,6 +79,55 @@ std::vector<ScriptOp> ConvoyScript(ResourceId lock) {
   // A completed wait+use report riding along (the OnUsage path).
   script.push_back(Op(2, t, TraceEventKind::kUsage, 201, lock, 700, 1400));
   return script;
+}
+
+// The ledger books two runtimes ended in: stats, per-resource accounting,
+// and every (key, resource) cell and task record the keys name.
+void ExpectSameBooks(const AtroposRuntime& got, const AtroposRuntime& want,
+                     const std::vector<uint64_t>& keys, const std::vector<ResourceId>& resources) {
+  EXPECT_EQ(got.stats().trace_events, want.stats().trace_events);
+  EXPECT_EQ(got.stats().ignored_events, want.stats().ignored_events);
+  EXPECT_EQ(got.stats().cancels_issued, want.stats().cancels_issued);
+  EXPECT_EQ(got.live_task_count(), want.live_task_count());
+  const std::vector<ResourceAudit> got_audit = got.AuditAccounting();
+  const std::vector<ResourceAudit> want_audit = want.AuditAccounting();
+  ASSERT_EQ(got_audit.size(), want_audit.size());
+  for (size_t r = 0; r < want_audit.size(); r++) {
+    EXPECT_EQ(got_audit[r].id, want_audit[r].id);
+    EXPECT_EQ(got_audit[r].acquired, want_audit[r].acquired);
+    EXPECT_EQ(got_audit[r].released, want_audit[r].released);
+    EXPECT_EQ(got_audit[r].leaked, want_audit[r].leaked);
+    EXPECT_EQ(got_audit[r].overfreed, want_audit[r].overfreed);
+    EXPECT_EQ(got_audit[r].live_held, want_audit[r].live_held);
+  }
+  for (uint64_t key : keys) {
+    SCOPED_TRACE(key);
+    const TaskRecord* got_t = got.FindTask(key);
+    const TaskRecord* want_t = want.FindTask(key);
+    ASSERT_EQ(got_t == nullptr, want_t == nullptr);
+    if (want_t != nullptr) {
+      EXPECT_EQ(got_t->created_at, want_t->created_at);
+      EXPECT_EQ(got_t->cancellable, want_t->cancellable);
+      EXPECT_EQ(got_t->has_progress, want_t->has_progress);
+      EXPECT_EQ(got_t->progress_done, want_t->progress_done);
+      EXPECT_EQ(got_t->progress_total, want_t->progress_total);
+    }
+    for (ResourceId resource : resources) {
+      const TaskResourceUsage* got_u = got.FindUsage(key, resource);
+      const TaskResourceUsage* want_u = want.FindUsage(key, resource);
+      ASSERT_EQ(got_u == nullptr, want_u == nullptr);
+      if (want_u == nullptr) {
+        continue;
+      }
+      EXPECT_EQ(got_u->acquired, want_u->acquired);
+      EXPECT_EQ(got_u->released, want_u->released);
+      EXPECT_EQ(got_u->slow_events, want_u->slow_events);
+      EXPECT_EQ(got_u->wait_time, want_u->wait_time);
+      EXPECT_EQ(got_u->hold_time, want_u->hold_time);
+      EXPECT_EQ(got_u->active_units, want_u->active_units);
+      EXPECT_EQ(got_u->waiting, want_u->waiting);
+    }
+  }
 }
 
 // The tentpole property: draining N producers' rings produces decisions
@@ -233,52 +285,268 @@ TEST(ForwarderEquivalence, DirectGroupAndAuditEndInTheSameBooks) {
     EXPECT_EQ(path.cancels, ref.cancels);
     EXPECT_EQ(path.last_cancelled, ref.last_cancelled);
     EXPECT_EQ(EventsToJsonl(path.recorder.Snapshot()), EventsToJsonl(ref.recorder.Snapshot()));
-
-    const AtroposStats& want = ref.runtime->stats();
-    const AtroposStats& got = path.runtime->stats();
-    EXPECT_EQ(got.trace_events, want.trace_events);
-    EXPECT_EQ(got.ignored_events, want.ignored_events);
-
-    const std::vector<ResourceAudit> want_audit = ref.runtime->AuditAccounting();
-    const std::vector<ResourceAudit> got_audit = path.runtime->AuditAccounting();
-    ASSERT_EQ(got_audit.size(), want_audit.size());
-    for (size_t r = 0; r < want_audit.size(); r++) {
-      EXPECT_EQ(got_audit[r].id, want_audit[r].id);
-      EXPECT_EQ(got_audit[r].acquired, want_audit[r].acquired);
-      EXPECT_EQ(got_audit[r].released, want_audit[r].released);
-      EXPECT_EQ(got_audit[r].leaked, want_audit[r].leaked);
-      EXPECT_EQ(got_audit[r].overfreed, want_audit[r].overfreed);
-      EXPECT_EQ(got_audit[r].live_held, want_audit[r].live_held);
-    }
-
-    for (uint64_t key : kKeys) {
-      SCOPED_TRACE(key);
-      const TaskRecord* want_t = ref.runtime->FindTask(key);
-      const TaskRecord* got_t = path.runtime->FindTask(key);
-      ASSERT_EQ(got_t == nullptr, want_t == nullptr);
-      if (want_t != nullptr) {
-        EXPECT_EQ(got_t->cancellable, want_t->cancellable);
-        EXPECT_EQ(got_t->has_progress, want_t->has_progress);
-        EXPECT_EQ(got_t->progress_done, want_t->progress_done);
-        EXPECT_EQ(got_t->progress_total, want_t->progress_total);
-      }
-      const TaskResourceUsage* want_u = ref.runtime->FindUsage(key, lock);
-      const TaskResourceUsage* got_u = path.runtime->FindUsage(key, lock);
-      ASSERT_EQ(got_u == nullptr, want_u == nullptr);
-      if (want_u == nullptr) {
-        continue;
-      }
-      EXPECT_EQ(got_u->acquired, want_u->acquired);
-      EXPECT_EQ(got_u->released, want_u->released);
-      EXPECT_EQ(got_u->slow_events, want_u->slow_events);
-      EXPECT_EQ(got_u->wait_time, want_u->wait_time);
-      EXPECT_EQ(got_u->hold_time, want_u->hold_time);
-      EXPECT_EQ(got_u->active_units, want_u->active_units);
-      EXPECT_EQ(got_u->waiting, want_u->waiting);
-    }
+    ExpectSameBooks(*path.runtime, *ref.runtime, kKeys, {lock});
   }
   // The audit shadowed what it forwarded.
   EXPECT_EQ(audit.epochs().size(), 3u);
+}
+
+// ---- Drain-order differential test ----------------------------------------
+//
+// The drain replays the rings in place in (stamp, producer registration
+// order, FIFO) order. The reference below is the definition of that order:
+// the events one Tick drains, concatenated in registration order and
+// stable-sorted by stamp, fed to a bare runtime. The scripts are seeded and
+// order-sensitive: producers share a handful of keys and stamp most events at
+// the same microsecond as their neighbours, progress reports are
+// last-writer-wins with unique values, and registrations and frees race the
+// events that need a live task, so any slip in the merge shows in the books
+// compared after every Tick or in the flight JSONL compared at the end.
+
+struct DrainCase {
+  uint64_t seed = 1;
+  int producers = 1;           // explicit RegisterProducer() handles
+  size_t ring_capacity = 1 << 10;
+  int windows = 4;
+  int events_per_window = 400;
+  bool exiting_thread = false;  // an auto-bound thread pushes, then exits
+};
+
+constexpr uint64_t kSharedKeys = 6;
+
+TraceEvent RandomEvent(Rng& rng, ResourceId lock, ResourceId pool, uint64_t seq) {
+  TraceEvent ev;
+  ev.key = 1 + rng.NextBounded(kSharedKeys);
+  ev.resource = rng.NextBernoulli(0.5) ? lock : pool;
+  switch (rng.NextBounded(10)) {
+    case 0:
+      ev.kind = TraceEventKind::kTaskRegistered;
+      ev.cancellable = rng.NextBernoulli(0.8);
+      break;
+    case 1:
+      ev.kind = TraceEventKind::kTaskFreed;
+      break;
+    case 2:
+      ev.kind = TraceEventKind::kGet;
+      ev.a = 1 + rng.NextBounded(3);
+      break;
+    case 3:
+      ev.kind = TraceEventKind::kFree;
+      ev.a = 1 + rng.NextBounded(3);
+      break;
+    case 4:
+      ev.kind = TraceEventKind::kWaitBegin;
+      break;
+    case 5:
+      ev.kind = TraceEventKind::kWaitEnd;
+      break;
+    case 6:
+      ev.kind = TraceEventKind::kRequestStart;
+      break;
+    case 7:
+      ev.kind = TraceEventKind::kRequestEnd;
+      ev.a = rng.NextBernoulli(0.5) ? 50000 : 300 + rng.NextBounded(500);
+      break;
+    case 8:
+      ev.kind = TraceEventKind::kUsage;
+      ev.a = rng.NextBounded(900);
+      ev.b = rng.NextBounded(1800);
+      break;
+    default:
+      ev.kind = TraceEventKind::kProgress;
+      ev.a = seq;  // unique: the last progress report applied is visible
+      ev.b = seq + 1000;
+      break;
+  }
+  return ev;
+}
+
+void RunDrainDifferential(const DrainCase& dc, uint64_t* cancels) {
+  SCOPED_TRACE("seed " + std::to_string(dc.seed) + ", " + std::to_string(dc.producers) +
+               " producers, ring " + std::to_string(dc.ring_capacity));
+  const TimeMicros kTick = Millis(100);
+  Rng rng(dc.seed);
+
+  ManualClock fe_clock(0);
+  ConcurrentFrontend::Options options;
+  options.ring_capacity = dc.ring_capacity;
+  ConcurrentFrontend fe(&fe_clock, TestConfig(), options);
+  ManualClock ref_clock(0);
+  AtroposRuntime ref(&ref_clock, TestConfig());
+  const ResourceId lock = fe.RegisterResource("lock", ResourceClass::kLock);
+  const ResourceId pool = fe.RegisterResource("pool", ResourceClass::kMemory);
+  ASSERT_EQ(ref.RegisterResource("lock", ResourceClass::kLock), lock);
+  ASSERT_EQ(ref.RegisterResource("pool", ResourceClass::kMemory), pool);
+  FlightRecorder fe_rec;
+  FlightRecorder ref_rec;
+  fe.runtime().SetRecorder(&fe_rec);
+  ref.SetRecorder(&ref_rec);
+  // Cancelled keys, folded in order: the actions only count and hash.
+  uint64_t fe_cancels = 0;
+  uint64_t ref_cancels = 0;
+  fe.runtime().SetCancelAction([&](uint64_t key) { fe_cancels = fe_cancels * 1000003 + key; });
+  ref.SetCancelAction([&](uint64_t key) { ref_cancels = ref_cancels * 1000003 + key; });
+
+  std::vector<ConcurrentFrontend::Producer*> producers;
+  for (int i = 0; i < dc.producers; i++) {
+    producers.push_back(fe.RegisterProducer());
+  }
+  // Events each ring holds since the last Tick, by registration order; the
+  // exiting thread's ring registers after every explicit one.
+  std::vector<std::vector<TraceEvent>> pending(static_cast<size_t>(dc.producers) + 1);
+  std::vector<uint64_t> shared_keys;
+  for (uint64_t key = 1; key <= kSharedKeys; key++) {
+    shared_keys.push_back(key);
+  }
+  uint64_t seq = 0;
+  uint64_t pushed = 0;
+  uint64_t drained = 0;
+
+  for (int w = 0; w < dc.windows; w++) {
+    const TimeMicros tick_at = static_cast<TimeMicros>(w + 1) * kTick;
+    // A quarter of the producers sit the window out: their rings are empty.
+    std::vector<int> active;
+    for (int i = 0; i < dc.producers; i++) {
+      if (dc.producers == 1 || !rng.NextBernoulli(0.25)) {
+        active.push_back(i);
+      }
+    }
+    for (int n = 0; n < dc.events_per_window && !active.empty(); n++) {
+      if (rng.NextBernoulli(0.3)) {
+        fe_clock.Advance(1 + rng.NextBounded(40));
+      }
+      const int p = active[rng.NextBounded(active.size())];
+      const TraceEvent ev = RandomEvent(rng, lock, pool, ++seq);
+      if (producers[static_cast<size_t>(p)]->Push(ev)) {
+        TraceEvent stamped = ev;
+        stamped.time = fe_clock.NowMicros();
+        pending[static_cast<size_t>(p)].push_back(stamped);
+        pushed++;
+      }
+      if (dc.exiting_thread && w == dc.windows / 2 && n == dc.events_per_window / 2) {
+        // Auto-bound through the hooks, on the same microseconds as the
+        // explicit rings; fewer events than the ring holds, so none drop.
+        std::vector<TraceEvent>& mine = pending.back();
+        std::thread worker([&] {
+          const size_t m = std::min<size_t>(dc.ring_capacity, 24);
+          for (size_t i = 0; i < m; i++) {
+            if (i % 4 == 3) {
+              fe_clock.Advance(1);
+            }
+            TraceEvent ev = RandomEvent(rng, lock, pool, ++seq);
+            fe.Apply(ev);
+            ev.time = fe_clock.NowMicros();
+            mine.push_back(ev);
+          }
+        });
+        worker.join();
+        pushed += mine.size();
+      }
+    }
+    ASSERT_LT(fe_clock.NowMicros(), tick_at);
+
+    fe_clock.SetTime(tick_at);
+    fe.Tick();
+
+    std::vector<TraceEvent> merged;
+    for (std::vector<TraceEvent>& ring : pending) {
+      merged.insert(merged.end(), ring.begin(), ring.end());
+      ring.clear();
+    }
+    std::stable_sort(merged.begin(), merged.end(),
+                     [](const TraceEvent& a, const TraceEvent& b) { return a.time < b.time; });
+    for (const TraceEvent& ev : merged) {
+      ref_clock.SetTime(ev.time);
+      ref.Apply(ev);
+    }
+    ref_clock.SetTime(tick_at);
+    ref.Tick();
+    drained += merged.size();
+
+    SCOPED_TRACE("window " + std::to_string(w));
+    ASSERT_EQ(fe.intake_stats().drained_last_tick, merged.size());
+    ExpectSameBooks(fe.runtime(), ref, shared_keys, {lock, pool});
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+  }
+
+  *cancels += ref.stats().cancels_issued;
+  EXPECT_EQ(fe_cancels, ref_cancels);
+  EXPECT_EQ(EventsToJsonl(fe_rec.Snapshot()), EventsToJsonl(ref_rec.Snapshot()));
+  const ConcurrentFrontend::IntakeStats& intake = fe.intake_stats();
+  EXPECT_EQ(intake.drained_total, drained);
+  EXPECT_EQ(intake.drained_total, pushed);
+  if (dc.exiting_thread) {
+    EXPECT_EQ(intake.producers_retired, 1u);
+    EXPECT_EQ(fe.live_producer_count(), static_cast<size_t>(dc.producers));
+  }
+}
+
+TEST(DrainOrderDifferential, OneToSixteenExplicitProducers) {
+  uint64_t cancels = 0;
+  for (int producers = 1; producers <= 16; producers++) {
+    for (uint64_t seed = 1; seed <= 3; seed++) {
+      DrainCase dc;
+      dc.seed = seed * 100 + static_cast<uint64_t>(producers);
+      dc.producers = producers;
+      RunDrainDifferential(dc, &cancels);
+    }
+  }
+  EXPECT_GT(cancels, 0u);
+}
+
+TEST(DrainOrderDifferential, SmallWrappingRingsWithDrops) {
+  uint64_t cancels = 0;
+  for (size_t capacity : {8u, 16u, 64u}) {
+    for (uint64_t seed = 1; seed <= 4; seed++) {
+      DrainCase dc;
+      dc.seed = seed * 7 + capacity;
+      dc.producers = 2 + static_cast<int>(seed);
+      dc.ring_capacity = capacity;
+      dc.windows = 12;
+      dc.events_per_window = 120;
+      RunDrainDifferential(dc, &cancels);
+    }
+  }
+  EXPECT_GT(cancels, 0u);
+}
+
+TEST(DrainOrderDifferential, AutoBoundThreadExitsMidRun) {
+  uint64_t cancels = 0;
+  for (uint64_t seed = 1; seed <= 4; seed++) {
+    DrainCase dc;
+    dc.seed = seed;
+    dc.producers = static_cast<int>(seed) + 1;
+    dc.ring_capacity = seed % 2 == 0 ? 16 : 1 << 10;
+    dc.windows = 8;
+    dc.exiting_thread = true;
+    RunDrainDifferential(dc, &cancels);
+  }
+  EXPECT_GT(cancels, 0u);
+}
+
+// The slots a Tick drains go back to the producer by the end of that Tick: a
+// ring filled to refusal accepts capacity-many pushes again afterwards.
+TEST(ConcurrentFrontendTest, TickReleasesTheSlotsItDrained) {
+  ManualClock clock(0);
+  ConcurrentFrontend::Options opt;
+  opt.ring_capacity = 16;
+  ConcurrentFrontend frontend(&clock, TestConfig(), opt);
+  ConcurrentFrontend::Producer* p = frontend.RegisterProducer();
+  const TraceEvent ev{.key = 1, .kind = TraceEventKind::kRequestStart};
+  size_t accepted = 0;
+  while (p->Push(ev)) {
+    accepted++;
+  }
+  EXPECT_EQ(accepted, 16u);
+  clock.SetTime(Millis(100));
+  frontend.Tick();
+  EXPECT_EQ(frontend.intake_stats().drained_last_tick, 16u);
+  for (size_t i = 0; i < accepted; i++) {
+    EXPECT_TRUE(p->Push(ev)) << "push " << i << " after the drain";
+  }
+  EXPECT_FALSE(p->Push(ev));
 }
 
 // Ring overflow is lossy-with-counter: a full ring drops the event, counts
