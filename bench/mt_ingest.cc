@@ -210,7 +210,7 @@ int Main(int argc, char** argv) {
     int threads;
     bool loss_free;
     RunResult r;
-    double throughput;   // delivered events / wall second
+    double throughput;   // events moved (attempted, in saturate mode) / wall second
     double ns_per_event;
     double drain_ns_per_event;
     double drop_rate;
@@ -255,7 +255,7 @@ int Main(int argc, char** argv) {
       rows.push_back(
           {threads, loss_free, r, throughput, ns_per_event, drain_ns_per_event, drop_rate, speedup});
       table.AddRow({std::to_string(threads), loss_free ? "loss-free" : "saturate",
-                    std::to_string(moved), TextTable::Num(r.wall_seconds * 1e3),
+                    std::to_string(r.pushed), TextTable::Num(r.wall_seconds * 1e3),
                     TextTable::Num(throughput / 1e6), TextTable::Num(ns_per_event, 1),
                     loss_free ? TextTable::Num(speedup) + "x" : "-",
                     TextTable::Pct(drop_rate), TextTable::Num(drain_ns_per_event, 1)});

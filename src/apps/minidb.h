@@ -88,11 +88,6 @@ struct MiniDbOptions {
   // model tracing-API cost).
   TimeMicros extra_request_cost = 0;
 
-  // Cancellation mode for the convoy-prone primitives (table locks, tickets,
-  // buffer-pool admission): kSmart repairs the grant chain at cancellation
-  // time, kSimple defers it to the next release (src/sync/cancel_mode.h).
-  CancelMode cancel_mode = CancelMode::kSmart;
-
   uint64_t seed = 1;
 };
 

@@ -33,7 +33,6 @@
 #include "src/atropos/estimator.h"    // IWYU pragma: export
 #include "src/atropos/policy.h"       // IWYU pragma: export
 #include "src/atropos/runtime.h"      // IWYU pragma: export
-#include "src/atropos/task_tree.h"    // IWYU pragma: export
 #include "src/atropos/types.h"        // IWYU pragma: export
 
 #endif  // SRC_ATROPOS_ATROPOS_H_

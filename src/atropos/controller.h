@@ -92,9 +92,9 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 // to Apply(), the only virtual event entry point. The default Apply decodes
 // the event by kind into the protected Handle* virtuals, which all default to
 // no-ops so controllers implement only what they use. Forwarding controllers
-// (ConcurrentFrontend, RuntimeGroup, AuditController) override Apply itself
-// and pass the event on whole; consuming controllers (AtroposRuntime and the
-// baselines) override handlers.
+// (ConcurrentFrontend, AuditController) override Apply itself and pass the
+// event on whole; consuming controllers (AtroposRuntime and the baselines)
+// override handlers.
 class OverloadController {
  public:
   virtual ~OverloadController() = default;

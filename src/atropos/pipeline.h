@@ -10,8 +10,7 @@
 // cases inside the runtime.
 //
 // A DecisionPipeline bundles one stage of each kind; AtroposRuntime owns one
-// per instance, and RuntimeGroup builds one per shard from a shared factory
-// (shared implementations, private per-shard stage state).
+// per instance.
 
 #ifndef SRC_ATROPOS_PIPELINE_H_
 #define SRC_ATROPOS_PIPELINE_H_

@@ -78,6 +78,10 @@ PolicyDecision ScalarizeOver(const PolicyInput& input, const std::vector<uint32_
       decision.score = score;
     }
   }
+  // Never select a victim whose cancellation frees nothing anywhere.
+  if (decision.found() && decision.score <= 0.0) {
+    return {};
+  }
   return decision;
 }
 
@@ -166,26 +170,6 @@ PolicyDecision SelectCurrentUsage(const PolicyInput& input, PolicyExplain* expla
   auto set = NonDominatedSet(input, /*use_current_usage=*/true);
   Explain(input, set, /*use_current_usage=*/true, explain);
   return ScalarizeOver(input, set, /*use_current_usage=*/true);
-}
-
-PolicyDecision SelectVictim(PolicyKind kind, const PolicyInput& input, PolicyExplain* explain) {
-  PolicyDecision decision;
-  switch (kind) {
-    case PolicyKind::kMultiObjective:
-      decision = SelectMultiObjective(input, explain);
-      break;
-    case PolicyKind::kHeuristic:
-      decision = SelectHeuristic(input, explain);
-      break;
-    case PolicyKind::kCurrentUsage:
-      decision = SelectCurrentUsage(input, explain);
-      break;
-  }
-  // Never select a victim whose cancellation frees nothing anywhere.
-  if (decision.found() && decision.score <= 0.0) {
-    return {};
-  }
-  return decision;
 }
 
 }  // namespace atropos

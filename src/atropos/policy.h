@@ -81,6 +81,9 @@ struct PolicyExplain {
 // strictly greater on at least one.
 bool Dominates(std::span<const double> a, std::span<const double> b);
 
+// Each selector returns no victim when the best score is not positive: such
+// a cancellation frees nothing anywhere.
+
 // Algorithm 1: non-dominated filter + contention-weighted scalarization.
 PolicyDecision SelectMultiObjective(const PolicyInput& input, PolicyExplain* explain = nullptr);
 
@@ -91,9 +94,6 @@ PolicyDecision SelectHeuristic(const PolicyInput& input, PolicyExplain* explain 
 // Fig 13 baseline 2: multi-objective shape, but scores use current usage
 // instead of predicted future gain.
 PolicyDecision SelectCurrentUsage(const PolicyInput& input, PolicyExplain* explain = nullptr);
-
-PolicyDecision SelectVictim(PolicyKind kind, const PolicyInput& input,
-                            PolicyExplain* explain = nullptr);
 
 }  // namespace atropos
 

@@ -18,10 +18,9 @@
 // AtroposRuntime wires the layers and remains an OverloadController, so
 // applications integrate it exactly like the baseline controllers: feed the
 // instrumentation stream and call Tick() once per window. The decision stages
-// are pluggable — the Fig-13 ablation variants are alternative
-// SelectionPolicy implementations injected at construction — and RuntimeGroup
-// (runtime_group.h) shards independent ledgers/windows per tenant behind one
-// shared stage factory.
+// are pluggable: the Fig-13 ablation variants are alternative
+// SelectionPolicy implementations injected at construction. One runtime
+// serves one application (paper §5).
 
 #ifndef SRC_ATROPOS_RUNTIME_H_
 #define SRC_ATROPOS_RUNTIME_H_
@@ -104,8 +103,7 @@ class AtroposRuntime final : public OverloadController {
   uint64_t calm_windows_total() const { return dispatcher_.calm_windows_total(); }
   bool has_cancel_initiator() const { return dispatcher_.has_initiator(); }
 
-  // Layer access for tests and the multi-tenant group.
-  const TaskLedger& ledger() const { return ledger_; }
+  // Layer access for tests.
   const DecisionPipeline& pipeline() const { return pipeline_; }
 
   // ---- Accounting audit (fuzzer oracles) ----------------------------------

@@ -154,14 +154,12 @@ void SimSemaphore::GrantWaiters() {
 }
 
 void SimSemaphore::CancelWaiter(WaitNode& node) {
-  // The unlink is eager in both modes — the node lives in the cancelled
-  // coroutine's frame (see header). Only the grant-chain repair is modal.
+  // The unlink is eager — the node lives in the cancelled coroutine's frame
+  // (see header) — and the removed head may have been blocking smaller
+  // requests behind it.
   waiters_.Remove(&node);
   CompleteNode(&node, Status::Cancelled("semaphore wait cancelled"));
-  if (cancel_mode_ == CancelMode::kSmart) {
-    // The removed head may have been blocking smaller requests behind it.
-    GrantWaiters();
-  }
+  GrantWaiters();
 }
 
 void SimSemaphore::CompleteNode(WaitNode* node, Status status) {
@@ -241,13 +239,11 @@ void SimRwLock::GrantWaiters() {
 }
 
 void SimRwLock::CancelWaiter(WaitNode& node) {
-  // Eager unlink in both modes (frame-resident node); modal grant pass.
+  // Eager unlink (frame-resident node); removing a queued writer can unblock
+  // the readers queued behind it.
   waiters_.Remove(&node);
   CompleteNode(&node, Status::Cancelled("rwlock wait cancelled"));
-  if (cancel_mode_ == CancelMode::kSmart) {
-    // Removing a queued writer can unblock the readers queued behind it.
-    GrantWaiters();
-  }
+  GrantWaiters();
 }
 
 void SimRwLock::CompleteNode(WaitNode* node, Status status) {

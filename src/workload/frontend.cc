@@ -188,9 +188,9 @@ void Frontend::OnDone(const AppRequest& req, OutcomeKind outcome, TimeMicros fir
       // the runtime's cancel_issued event, with the request type named.
       RecordClientEvent(ObsEventKind::kCancelCompleted, req, ToSeconds(latency));
       if (background) {
+        // Background retries share the foreground retry path, including its
+        // max_retry_wait drop: no separate background max-wait is modelled.
         metrics_.background_cancelled++;
-        // Background tasks are guaranteed re-execution after their waiting
-        // threshold (§4); modelled by the same retry path.
       }
       if (!background && measured) {
         metrics_.cancelled++;

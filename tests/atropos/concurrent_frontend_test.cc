@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/atropos/runtime_group.h"
 #include "src/common/rng.h"
 #include "src/obs/export.h"
 #include "src/obs/flight_recorder.h"
@@ -212,19 +211,16 @@ TEST(ConcurrentFrontendDeterminism, DrainedDecisionsMatchDirectFeeding) {
   EXPECT_EQ(frontend.intake_stats().dropped_total, 0u);
 }
 
-// Every forwarding controller passes the event stream on unchanged: the
-// scripted convoy applied directly to a runtime, through a one-shard
-// RuntimeGroup, and through an AuditController ends in the same books and
-// the same decisions.
-TEST(ForwarderEquivalence, DirectGroupAndAuditEndInTheSameBooks) {
+// A forwarding controller passes the event stream on unchanged: the scripted
+// convoy applied directly to a runtime and through an AuditController ends in
+// the same books and the same decisions.
+TEST(ForwarderEquivalence, DirectAndAuditEndInTheSameBooks) {
   const TimeMicros kTick = Millis(100);
   const int kWindows = 4;
   const std::vector<uint64_t> kKeys = {100, 200, 201, 9999};
 
   ManualClock clock_direct(0);
   AtroposRuntime direct(&clock_direct, TestConfig());
-  ManualClock clock_group(0);
-  RuntimeGroup group(&clock_group, TestConfig(), 1);
   ManualClock clock_audit(0);
   AtroposRuntime audited(&clock_audit, TestConfig());
   AuditController audit(audited);
@@ -237,15 +233,12 @@ TEST(ForwarderEquivalence, DirectGroupAndAuditEndInTheSameBooks) {
     uint64_t last_cancelled = 0;
     FlightRecorder recorder;
   };
-  std::vector<Path> paths(3);
+  std::vector<Path> paths(2);
   paths[0].clock = &clock_direct;
   paths[0].controller = paths[0].runtime = &direct;
-  paths[1].clock = &clock_group;
-  paths[1].controller = &group;
-  paths[1].runtime = &group.shard(0);
-  paths[2].clock = &clock_audit;
-  paths[2].controller = &audit;
-  paths[2].runtime = &audited;
+  paths[1].clock = &clock_audit;
+  paths[1].controller = &audit;
+  paths[1].runtime = &audited;
   ResourceId lock = kInvalidResourceId;
   for (Path& path : paths) {
     lock = path.controller->RegisterResource("table_lock", ResourceClass::kLock);

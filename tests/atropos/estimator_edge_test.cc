@@ -157,10 +157,9 @@ PolicyInput SingleCandidateInput(double gain, bool cancellable = true) {
 }
 
 TEST(PolicySingleCandidateTest, LoneCandidateIsTriviallyPareto) {
-  for (PolicyKind kind :
-       {PolicyKind::kMultiObjective, PolicyKind::kHeuristic, PolicyKind::kCurrentUsage}) {
+  for (auto select : {SelectMultiObjective, SelectHeuristic, SelectCurrentUsage}) {
     PolicyExplain explain;
-    PolicyDecision d = SelectVictim(kind, SingleCandidateInput(0.8), &explain);
+    PolicyDecision d = select(SingleCandidateInput(0.8), &explain);
     EXPECT_TRUE(d.found());
     EXPECT_EQ(d.victim, 10u);
     EXPECT_GT(d.score, 0.0);
@@ -170,13 +169,12 @@ TEST(PolicySingleCandidateTest, LoneCandidateIsTriviallyPareto) {
 }
 
 TEST(PolicySingleCandidateTest, ZeroGainLoneCandidateIsNoVictim) {
-  PolicyDecision d = SelectVictim(PolicyKind::kMultiObjective, SingleCandidateInput(0.0));
+  PolicyDecision d = SelectMultiObjective(SingleCandidateInput(0.0));
   EXPECT_FALSE(d.found());
 }
 
 TEST(PolicySingleCandidateTest, NonCancellableLoneCandidateIsNoVictim) {
-  PolicyDecision d = SelectVictim(PolicyKind::kMultiObjective,
-                                  SingleCandidateInput(0.8, /*cancellable=*/false));
+  PolicyDecision d = SelectMultiObjective(SingleCandidateInput(0.8, /*cancellable=*/false));
   EXPECT_FALSE(d.found());
 }
 
@@ -185,7 +183,7 @@ TEST(PolicySingleCandidateTest, EmptyCandidateSetIsNoVictim) {
   input.candidates.clear();
   input.gain_matrix.clear();
   input.current_matrix.clear();
-  PolicyDecision d = SelectVictim(PolicyKind::kMultiObjective, input);
+  PolicyDecision d = SelectMultiObjective(input);
   EXPECT_FALSE(d.found());
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/atropos/pipeline.h"
+
 namespace atropos {
 namespace {
 
@@ -78,7 +80,8 @@ TEST(MultiObjectiveTest, AllZeroGainsNoDecision) {
   input.resources = {MakeResource(1, 0.9)};
   AddCandidate(&input, 1, {0});
   AddCandidate(&input, 2, {0});
-  EXPECT_FALSE(SelectVictim(PolicyKind::kMultiObjective, input).found());
+  EXPECT_FALSE(SelectMultiObjective(input).found());
+  EXPECT_FALSE(SelectCurrentUsage(input).found());
 }
 
 TEST(MultiObjectiveTest, IncomparableTasksBothConsidered) {
@@ -123,13 +126,16 @@ TEST(CurrentUsageTest, UsesCurrentNotFutureGain) {
   EXPECT_EQ(SelectMultiObjective(input).victim, 2u);
 }
 
-TEST(SelectVictimTest, DispatchesAllPolicies) {
+// The one PolicyKind dispatch: the default pipeline's selection stage.
+TEST(SelectionPolicyDispatchTest, DispatchesAllPolicies) {
   PolicyInput input;
   input.resources = {MakeResource(1, 1.0)};
   AddCandidate(&input, 7, {1.0});
   for (PolicyKind kind :
        {PolicyKind::kMultiObjective, PolicyKind::kHeuristic, PolicyKind::kCurrentUsage}) {
-    EXPECT_EQ(SelectVictim(kind, input).victim, 7u);
+    AtroposConfig config;
+    config.policy = kind;
+    EXPECT_EQ(DecisionPipeline::Default(config).selection->Select(input, nullptr).victim, 7u);
   }
 }
 
@@ -200,7 +206,8 @@ std::vector<bool> ReferenceParetoFlags(const PolicyInput& input, bool use_curren
 }
 
 // The reference decision: the first maximum, in candidate order, of
-// `score(i)` over the flagged candidates.
+// `score(i)` over the flagged candidates, or no victim when that maximum is
+// not positive (cancelling it would free nothing).
 template <typename ScoreFn>
 PolicyDecision ReferenceDecision(const PolicyInput& input, const std::vector<bool>& flags,
                                  ScoreFn score) {
@@ -210,6 +217,9 @@ PolicyDecision ReferenceDecision(const PolicyInput& input, const std::vector<boo
       decision.victim = input.candidates[i].task;
       decision.score = score(i);
     }
+  }
+  if (decision.found() && decision.score <= 0.0) {
+    return {};
   }
   return decision;
 }
@@ -291,11 +301,6 @@ TEST_P(ParetoDifferentialTest, SkylineMatchesAllPairsScan) {
   };
   const std::vector<bool> gain_flags = ReferenceParetoFlags(input, false);
   const std::vector<bool> usage_flags = ReferenceParetoFlags(input, true);
-  PolicyDecision heuristic = ReferenceDecision(
-      input, cancellable, [&](size_t i) { return input.Gains(i)[top]; });
-  if (heuristic.found() && heuristic.score <= 0.0) {
-    heuristic = {};
-  }
   const Case cases[] = {
       {PolicyKind::kMultiObjective, gain_flags,
        ReferenceDecision(input, gain_flags,
@@ -304,7 +309,8 @@ TEST_P(ParetoDifferentialTest, SkylineMatchesAllPairsScan) {
        ReferenceDecision(input, usage_flags,
                          [&](size_t i) { return scalarize(input.CurrentUsage(i)); })},
       // The greedy policy has no Pareto filter: every cancellable row is in.
-      {PolicyKind::kHeuristic, cancellable, heuristic},
+      {PolicyKind::kHeuristic, cancellable,
+       ReferenceDecision(input, cancellable, [&](size_t i) { return input.Gains(i)[top]; })},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(::testing::Message() << "policy=" << static_cast<int>(c.kind));
